@@ -36,10 +36,14 @@ func benchOptions() bench.Options {
 // runExperiment executes one experiment exactly once per benchmark run.
 func runExperiment(b *testing.B, id string) {
 	b.Helper()
+	e, ok := bench.FindExperiment(id)
+	if !ok {
+		b.Fatalf("unknown experiment %q", id)
+	}
 	o := benchOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := bench.Experiments[id](o); err != nil {
+		if err := e.Run(o); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,5 +1,7 @@
 // lstore-bench regenerates the evaluation of the L-Store paper (§6): every
-// figure and table, at a configurable machine scale.
+// figure and table, at a configurable machine scale. The product surface
+// (Query API, WAL recovery, the HTTP server, compression, spill) is measured
+// by the benchmark under benchmark/ instead.
 //
 // Usage:
 //
@@ -9,13 +11,7 @@
 // Experiments: fig7a fig7b fig7c (scalability under low/medium/high
 // contention), fig8 (scan time vs merge batch), table7 (scan comparison),
 // fig9a fig9b (read/write-ratio sweeps), fig10a fig10c (mixed OLTP+OLAP),
-// table8 (row vs column scans), table9 (row vs column point reads),
-// query (the unified Query API: predicate pushdown and filtered aggregates
-// vs callback filtering, swept over selectivity), recover (restart time
-// after a simulated crash: full-log replay vs checkpoint + log tail, swept
-// over tail length), and serve (the HTTP service layer end to end: txn
-// throughput and latency with group commit on/off, plus admission-control
-// shedding under overload).
+// table8 (row vs column scans), and table9 (row vs column point reads).
 package main
 
 import (
@@ -31,7 +27,7 @@ import (
 
 func main() {
 	var (
-		experiment  = flag.String("experiment", "all", "experiment id or 'all' ("+strings.Join(bench.ExperimentIDs, " ")+")")
+		experiment  = flag.String("experiment", "all", "experiment id or 'all' ("+strings.Join(experimentIDs(), " ")+")")
 		rows        = flag.Int("rows", 65536, "preloaded table size (paper: 10M)")
 		duration    = flag.Duration("duration", time.Second, "measurement window per cell")
 		rangeSize   = flag.Int("range", 4096, "L-Store update-range size (power of two)")
@@ -64,22 +60,23 @@ func main() {
 		*rows, *duration, runtime.GOMAXPROCS(0))
 	fmt.Printf("(paper testbed: 2x6-core Xeon E5-2430, 10M-row active sets; shapes, not absolutes, transfer)\n\n")
 
-	ids := bench.ExperimentIDs
+	exps := bench.Experiments
 	if *experiment != "all" {
-		if _, ok := bench.Experiments[*experiment]; !ok {
+		e, ok := bench.FindExperiment(*experiment)
+		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q; choose from %s or all\n",
-				*experiment, strings.Join(bench.ExperimentIDs, " "))
+				*experiment, strings.Join(experimentIDs(), " "))
 			os.Exit(2)
 		}
-		ids = []string{*experiment}
+		exps = []bench.Experiment{e}
 	}
-	for _, id := range ids {
+	for _, e := range exps {
 		start := time.Now()
-		if err := bench.Experiments[id](opts); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
+		if err := e.Run(opts); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
-		fmt.Printf("(%s completed in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 
 	if opts.Report != nil {
@@ -98,6 +95,14 @@ func main() {
 		}
 		fmt.Printf("wrote %d samples to %s\n", len(opts.Report.Samples), *jsonPath)
 	}
+}
+
+func experimentIDs() []string {
+	ids := make([]string, len(bench.Experiments))
+	for i, e := range bench.Experiments {
+		ids[i] = e.ID
+	}
+	return ids
 }
 
 func parseInts(s string) ([]int, error) {

@@ -136,14 +136,14 @@ func TestRunPointReadMode(t *testing.T) {
 // TestExperimentsRunAndPrint smoke-tests every experiment at tiny scale,
 // checking each emits its header and at least one data row.
 func TestExperimentsRunAndPrint(t *testing.T) {
-	for _, id := range ExperimentIDs {
-		id := id
-		t.Run(id, func(t *testing.T) {
+	for _, e := range Experiments {
+		e := e
+		t.Run(e.ID, func(t *testing.T) {
 			var sb strings.Builder
 			o := tinyOptions()
 			o.Duration = 30 * time.Millisecond
 			o.Out = &sb
-			if err := Experiments[id](o); err != nil {
+			if err := e.Run(o); err != nil {
 				t.Fatal(err)
 			}
 			out := sb.String()

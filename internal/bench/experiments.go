@@ -358,38 +358,35 @@ func Table9(o Options) error {
 	return nil
 }
 
-// Experiments maps CLI identifiers to runners.
-var Experiments = map[string]func(Options) error{
-	"fig7a":    func(o Options) error { return Fig7(o, workload.Low) },
-	"fig7b":    func(o Options) error { return Fig7(o, workload.Medium) },
-	"fig7c":    func(o Options) error { return Fig7(o, workload.High) },
-	"fig8":     Fig8,
-	"table7":   Table7,
-	"fig9a":    func(o Options) error { return Fig9(o, workload.Low) },
-	"fig9b":    func(o Options) error { return Fig9(o, workload.Medium) },
-	"fig10a":   func(o Options) error { return Fig10(o, workload.Low) },
-	"fig10b":   func(o Options) error { return Fig10(o, workload.Low) },
-	"fig10c":   func(o Options) error { return Fig10(o, workload.Medium) },
-	"fig10d":   func(o Options) error { return Fig10(o, workload.Medium) },
-	"table8":   Table8,
-	"table9":   Table9,
-	"query":    QueryExp,
-	"recover":  RecoverExp,
-	"serve":    ServeExp,
-	"compress": CompressExp,
-	"spill":    SpillExp,
+// Experiment is one CLI-selectable experiment.
+type Experiment struct {
+	ID  string
+	Run func(Options) error
 }
 
-// ExperimentIDs lists the identifiers in paper order; "query" (the unified
-// query API's filtered-scan + aggregate sweep), "recover" (restart time,
-// full-log replay vs checkpoint+tail), "serve" (HTTP service layer: group
-// commit and admission control at the wire), and "compress" (sealed-page
-// encoding: encoded-space predicate evaluation vs decode-then-filter vs raw
-// pages, plus resident and checkpoint footprint), and "spill" (beyond-RAM
-// base storage: scan rate and resident bytes with the buffer pool capped at
-// fractions of the sealed footprint) extend the paper's set.
-var ExperimentIDs = []string{
-	"fig7a", "fig7b", "fig7c", "fig8", "table7",
-	"fig9a", "fig9b", "fig10a", "fig10c", "table8", "table9",
-	"query", "recover", "serve", "compress", "spill",
+// Experiments lists every experiment in paper order; "all" runs them in
+// this order. fig10a and fig10c each print both series of their figure, so
+// the paper's (b) and (d) panels need no id of their own.
+var Experiments = []Experiment{
+	{"fig7a", func(o Options) error { return Fig7(o, workload.Low) }},
+	{"fig7b", func(o Options) error { return Fig7(o, workload.Medium) }},
+	{"fig7c", func(o Options) error { return Fig7(o, workload.High) }},
+	{"fig8", Fig8},
+	{"table7", Table7},
+	{"fig9a", func(o Options) error { return Fig9(o, workload.Low) }},
+	{"fig9b", func(o Options) error { return Fig9(o, workload.Medium) }},
+	{"fig10a", func(o Options) error { return Fig10(o, workload.Low) }},
+	{"fig10c", func(o Options) error { return Fig10(o, workload.Medium) }},
+	{"table8", Table8},
+	{"table9", Table9},
+}
+
+// FindExperiment returns the experiment with the given id.
+func FindExperiment(id string) (Experiment, bool) {
+	for _, e := range Experiments {
+		if e.ID == id {
+			return e, true
+		}
+	}
+	return Experiment{}, false
 }

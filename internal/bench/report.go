@@ -24,20 +24,6 @@ type Sample struct {
 	TxnsPerSec  float64 `json:"txns_per_sec,omitempty"`
 	ScansPerSec float64 `json:"scans_per_sec,omitempty"`
 	ScanMillis  float64 `json:"scan_ms,omitempty"`
-	// RestartMillis is the wall-clock cost of rebuilding a database after a
-	// simulated crash (the "recover" experiment).
-	RestartMillis float64 `json:"restart_ms,omitempty"`
-	// The "serve" experiment's request-level metrics: end-to-end HTTP commit
-	// latency percentiles, WAL fsyncs amortized per committed transaction,
-	// and requests shed with 429 by admission control.
-	P50Micros      float64 `json:"p50_us,omitempty"`
-	P99Micros      float64 `json:"p99_us,omitempty"`
-	SyncsPerCommit float64 `json:"syncs_per_commit,omitempty"`
-	ShedReqs       int64   `json:"shed_reqs,omitempty"`
-	// The "compress" experiment's storage metrics: bytes resident in sealed
-	// base pages and the size of a full checkpoint image.
-	BytesResident int64 `json:"bytes_resident,omitempty"`
-	ImageBytes    int64 `json:"image_bytes,omitempty"`
 }
 
 // Report aggregates the samples of one harness invocation plus the knobs
