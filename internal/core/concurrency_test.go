@@ -39,8 +39,10 @@ func TestConcurrentWritersWithMergeAndScans(t *testing.T) {
 	// Writers: each committed transaction adds exactly +1 to one record's A
 	// column (read-modify-write) under serializable isolation, so read
 	// validation turns every lost update into an abort and the committed
-	// increment count exactly predicts the table sum.
-	var committedIncrements atomic.Int64
+	// increment count exactly predicts the table sum. A commit becomes
+	// visible inside Commit, before committedIncrements counts it, so
+	// writers also count the commits they have in flight.
+	var committedIncrements, inFlight atomic.Int64
 	var aborted atomic.Int64
 	var wg sync.WaitGroup
 	const writers, opsPerWriter = 4, 400
@@ -64,11 +66,14 @@ func TestConcurrentWritersWithMergeAndScans(t *testing.T) {
 					aborted.Add(1)
 					continue
 				}
+				inFlight.Add(1)
 				if err := s.tm.Commit(tx); err != nil {
+					inFlight.Add(-1)
 					aborted.Add(1)
 					continue
 				}
 				committedIncrements.Add(1)
+				inFlight.Add(-1)
 			}
 		}(int64(w) + 42)
 	}
@@ -89,11 +94,12 @@ func TestConcurrentWritersWithMergeAndScans(t *testing.T) {
 					return
 				default:
 				}
-				before := committedIncrements.Load()
 				ts := s.tm.Now()
 				sum, rows := s.ScanSum(ts, 1)
-				after := committedIncrements.Load()
-				_ = before
+				// Load inFlight first: a commit that leaves it after this
+				// load has already been counted in committedIncrements.
+				pending := inFlight.Load()
+				after := committedIncrements.Load() + pending
 				if rows != nKeys {
 					select {
 					case scanErr <- errf("scan saw %d rows, want %d", rows, nKeys):
@@ -101,11 +107,11 @@ func TestConcurrentWritersWithMergeAndScans(t *testing.T) {
 					}
 					return
 				}
-				// The snapshot's sum can't exceed all increments committed
-				// by the time the scan finished.
+				// The snapshot's sum can't exceed the increments committed
+				// or in flight by the time the scan finished.
 				if sum > after {
 					select {
-					case scanErr <- errf("snapshot sum %d exceeds committed %d", sum, after):
+					case scanErr <- errf("snapshot sum %d exceeds committed+in-flight %d", sum, after):
 					default:
 					}
 					return
