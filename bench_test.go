@@ -66,9 +66,12 @@ func BenchmarkTable9PointQueryColumns(b *testing.B) { runExperiment(b, "table9")
 // design choices DESIGN.md calls out).
 
 // BenchmarkPointUpdate measures single-threaded short-update latency.
+// Preload leaves the table merged, and the background merger is off so its
+// leftover preload work cannot land in the timed loop (on one core it
+// dominated both ns/op and allocs/op).
 func BenchmarkPointUpdate(b *testing.B) {
 	w := workload.ForContention(workload.Low, 16384)
-	e, err := bench.NewLStore(w.NumCols, bench.LStoreOptions{RangeSize: 2048})
+	e, err := bench.NewLStore(w.NumCols, bench.LStoreOptions{RangeSize: 2048, DisableAutoMerge: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -77,6 +80,7 @@ func BenchmarkPointUpdate(b *testing.B) {
 		b.Fatal(err)
 	}
 	gen := workload.NewGenerator(w, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	committed := 0
 	for i := 0; i < b.N; i++ {
@@ -90,6 +94,7 @@ func BenchmarkPointUpdate(b *testing.B) {
 // BenchmarkScanAfterMerge measures the columnar scan fast path (everything
 // consolidated, 0-hop reads).
 func BenchmarkScanAfterMerge(b *testing.B) {
+	b.ReportAllocs()
 	benchScan(b, true)
 }
 
@@ -99,9 +104,11 @@ func BenchmarkScanWithTailBacklog(b *testing.B) {
 	benchScan(b, false)
 }
 
+// benchScan scans on one worker so allocs/op does not depend on the host's
+// core count.
 func benchScan(b *testing.B, merged bool) {
 	w := workload.ForContention(workload.Low, 16384)
-	e, err := bench.NewLStore(w.NumCols, bench.LStoreOptions{RangeSize: 2048, DisableAutoMerge: true})
+	e, err := bench.NewLStore(w.NumCols, bench.LStoreOptions{RangeSize: 2048, DisableAutoMerge: true, ScanWorkers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -332,7 +339,7 @@ func BenchmarkPinnedScan(b *testing.B) {
 		lstore.Column{Name: "v", Type: lstore.Int64},
 		lstore.Column{Name: "w", Type: lstore.Int64},
 	), lstore.TableOptions{
-		RangeSize: 2048, DisableAutoMerge: true,
+		RangeSize: 2048, DisableAutoMerge: true, ScanWorkers: 1,
 		Spill: lstore.NewMemSpill(), PoolBytes: 24 << 10,
 	})
 	if err != nil {
@@ -463,7 +470,8 @@ func BenchmarkQueryAggregate(b *testing.B) {
 }
 
 // queryBenchTable preloads the filtered-query benchmark table: v ascending
-// (the filter column), w a payload column, fully merged.
+// (the filter column), w a payload column, fully merged. Scans run on one
+// worker so allocs/op measures the kernel, not the host's core count.
 func queryBenchTable(b *testing.B) (*lstore.DB, *lstore.Table, int) {
 	b.Helper()
 	db := lstore.Open()
@@ -471,7 +479,7 @@ func queryBenchTable(b *testing.B) (*lstore.DB, *lstore.Table, int) {
 		lstore.Column{Name: "id", Type: lstore.Int64},
 		lstore.Column{Name: "v", Type: lstore.Int64},
 		lstore.Column{Name: "w", Type: lstore.Int64},
-	), lstore.TableOptions{RangeSize: 2048, DisableAutoMerge: true})
+	), lstore.TableOptions{RangeSize: 2048, DisableAutoMerge: true, ScanWorkers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
