@@ -135,6 +135,12 @@ func TestServeEndToEnd(t *testing.T) {
 	if adm["txn_admitted"].(float64) < 2 {
 		t.Fatalf("stats admission: %v", adm)
 	}
+	// The benchmark reads these shed counters by name; they are frozen.
+	for _, f := range []string{"txn_shed", "query_shed", "overload_shed"} {
+		if _, ok := adm[f].(float64); !ok {
+			t.Fatalf("stats admission lacks %q: %v", f, adm)
+		}
+	}
 	if stats["sessions_total"].(float64) < 1 {
 		t.Fatalf("stats sessions: %v", stats)
 	}
