@@ -566,6 +566,33 @@ func TestDrainRefusesNewWork(t *testing.T) {
 	db.Close()
 }
 
+// acceptedListener signals each connection it accepts, so a test can wait
+// until the server tracks a client before calling Shutdown.
+type acceptedListener struct {
+	net.Listener
+	accepted chan struct{}
+}
+
+func listenAccepting(t *testing.T) acceptedListener {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return acceptedListener{Listener: l, accepted: make(chan struct{}, 1)}
+}
+
+func (l acceptedListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		select {
+		case l.accepted <- struct{}{}:
+		default:
+		}
+	}
+	return c, err
+}
+
 // TestShutdownDrainTimeoutForcesClose: a client that never finishes its
 // request outlasts the drain context; Shutdown must force the connection
 // closed, confirm the request gates are idle, and still finish the full
@@ -574,10 +601,7 @@ func TestShutdownDrainTimeoutForcesClose(t *testing.T) {
 	db := lstore.Open()
 	sink := &lstore.CheckpointBuffer{}
 	srv := New(db, Config{Checkpoint: sink})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := listenAccepting(t)
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(l) }()
 
@@ -591,6 +615,8 @@ func TestShutdownDrainTimeoutForcesClose(t *testing.T) {
 	if _, err := conn.Write([]byte("POST /v1/txn HTTP/1.1\r\nHost: x\r\nContent-Length: 1000\r\n\r\n{")); err != nil {
 		t.Fatal(err)
 	}
+	// A client still in the accept backlog would not hold the drain.
+	<-l.accepted
 
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
@@ -626,10 +652,7 @@ func TestShutdownStuckHandlerLeavesDBOpen(t *testing.T) {
 	sink := &lstore.CheckpointBuffer{}
 	srv := New(db, Config{Checkpoint: sink})
 	srv.forcedGrace = 50 * time.Millisecond
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := listenAccepting(t)
 	go srv.Serve(l) //nolint:errcheck // shut down below
 
 	conn, err := net.Dial("tcp", l.Addr().String()) // keeps the drain from finishing
@@ -640,6 +663,8 @@ func TestShutdownStuckHandlerLeavesDBOpen(t *testing.T) {
 	if _, err := conn.Write([]byte("POST /v1/txn HTTP/1.1\r\nHost: x\r\nContent-Length: 1000\r\n\r\n{")); err != nil {
 		t.Fatal(err)
 	}
+	// A client still in the accept backlog would not hold the drain.
+	<-l.accepted
 	if !srv.txnGate.tryAcquire() { // the "stuck handler"
 		t.Fatal("fresh gate refused a slot")
 	}
