@@ -96,8 +96,9 @@ func TestConcurrentWritersWithMergeAndScans(t *testing.T) {
 				}
 				ts := s.tm.Now()
 				sum, rows := s.ScanSum(ts, 1)
-				// Load inFlight first: a commit that leaves it after this
-				// load has already been counted in committedIncrements.
+				// Load inFlight first: a commit that left it before this
+				// load has already added itself to committedIncrements, and
+				// one that has not is counted in pending.
 				pending := inFlight.Load()
 				after := committedIncrements.Load() + pending
 				if rows != nKeys {
