@@ -243,7 +243,6 @@ func (db *DB) CreateTable(name string, schema Schema, opts ...TableOptions) (*Ta
 		MergeWorkers:              o.MergeWorkers,
 		ScanWorkers:               o.ScanWorkers,
 		DisableCompression:        o.DisableCompression,
-		DisableEncodedScan:        o.DisableEncodedScan,
 		Spill:                     o.Spill,
 		PoolBytes:                 o.PoolBytes,
 		CheckpointSpillRefs:       o.CheckpointSpillRefs,

@@ -111,12 +111,6 @@ type Config struct {
 	// above this package.
 	DisableCompression bool
 
-	// DisableEncodedScan forces predicate-filtered scans over sealed ranges
-	// to fully decode every page before filtering, instead of evaluating
-	// predicate windows on the encoded representation and decoding only
-	// surviving 64-slot words. Benchmark baseline knob.
-	DisableEncodedScan bool
-
 	// Spill enables beyond-RAM base storage: sealed/merged base pages are
 	// appended to this sink in their page.MarshalEncoded form and faulted
 	// back in through a pinnable buffer pool on read. Tail pages, unmerged

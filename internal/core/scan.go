@@ -336,41 +336,6 @@ func (rs *rangeScanner) finish() {
 	rs.sc = nil
 }
 
-// filterWord computes the predicate bitmap for slots [lo, hi) of one 64-slot
-// word straight from the decoded column pages: bit slot&63 is set when every
-// pushed predicate matches the page value. Each predicate is one unsigned
-// window compare per lane (no per-row branching on op), so selective scans
-// reject most of a word before any visibility or materialization work. The
-// bitmap is authoritative only for slots served from the decoded pages
-// (never-updated and merged-current); chain-walk slots re-check via
-// predsMatch on the walk output.
-func (rs *rangeScanner) filterWord(lo, hi int) uint64 {
-	fb := ^uint64(0)
-	for pi := range rs.preds {
-		p := &rs.preds[pi]
-		col := rs.sc.data[p.Idx]
-		span := p.Hi - p.Lo
-		var m uint64
-		if p.Negate {
-			for slot := lo; slot < hi; slot++ {
-				if v := col[slot]; v-p.Lo > span && v != types.NullSlot {
-					m |= 1 << uint(slot&63)
-				}
-			}
-		} else {
-			for slot := lo; slot < hi; slot++ {
-				if col[slot]-p.Lo <= span {
-					m |= 1 << uint(slot&63)
-				}
-			}
-		}
-		if fb &= m; fb == 0 {
-			break
-		}
-	}
-	return fb
-}
-
 // predsMatch scalar-evaluates every predicate against one materialized row
 // (chain-walk results and unsealed-range rows, where no decoded page backs
 // the value).
@@ -428,20 +393,19 @@ func (rs *rangeScanner) scanRange(r *updateRange, slot0, nRows int, emit func(sl
 	vals := sc.vals
 	filtered := len(rs.preds) > 0
 
-	// Sealed range, two decode strategies:
+	// Sealed range:
 	//
-	//   - Encoded scan (filtered): bind each predicate window to its column
-	//     page's OWN representation once (code space for FOR-packed and
-	//     dictionary pages, run granularity for RLE), compute each 64-slot
-	//     filter bitmap straight off the encoded data, and decode ONLY the
-	//     words something survives in. Selective scans leave most of the page
-	//     compressed.
+	//   - Filtered scans read the encoded pages: bind each predicate window
+	//     to its column page's OWN representation once (code space for
+	//     FOR-packed and dictionary pages, run granularity for RLE), compute
+	//     each 64-slot filter bitmap straight off the encoded data, and decode
+	//     ONLY the words something survives in. Selective scans leave most of
+	//     the page compressed.
 	//
-	//   - Bulk decode (unfiltered, or DisableEncodedScan): expand the column
-	//     pages and the Start/Last Updated meta pages once up front
-	//     (sequential decompression, not per-slot point access).
-	useEnc := filtered && !rs.s.cfg.DisableEncodedScan
-	if useEnc {
+	//   - Unfiltered scans bulk-decode: expand the column pages and the
+	//     Start/Last Updated meta pages once up front (sequential
+	//     decompression, not per-slot point access).
+	if filtered {
 		for pi := range rs.preds {
 			p := &rs.preds[pi]
 			sc.cp[pi].Bind(sc.pgs[p.Idx], p.Lo, p.Hi, p.Negate)
@@ -470,23 +434,15 @@ func (rs *rangeScanner) scanRange(r *updateRange, slot0, nRows int, emit func(sl
 		word := r.updatedBits[wi].Load()
 		fb := ^uint64(0)
 		if filtered {
-			if useEnc {
-				for pi := range sc.cp {
-					if fb &= sc.cp[pi].FilterWord(lo, hi); fb == 0 {
-						break
-					}
+			for pi := range sc.cp {
+				if fb &= sc.cp[pi].FilterWord(lo, hi); fb == 0 {
+					break
 				}
-			} else {
-				fb = rs.filterWord(lo, hi)
 			}
 			if fb == 0 && word == 0 {
-				if useEnc {
-					rs.wordsSkip++ // 64 slots rejected without decoding one
-				}
-				continue // 64 slots rejected with zero per-row work
+				rs.wordsSkip++ // 64 slots rejected without decoding one
+				continue
 			}
-		}
-		if useEnc {
 			// Something in this word survives: materialize exactly what the
 			// paths below read. Start Time always (visibility); column words
 			// only when the filter lets a page-served slot through; Last

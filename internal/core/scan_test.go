@@ -253,7 +253,7 @@ func scanOracleConfig(workers int) Config {
 // runScanOracle drives concurrent writers and mergers while the main
 // goroutine repeatedly compares every engine path against the readCols
 // oracle at a fixed snapshot. Optional config mutators select storage
-// variants (compression and encoded-scan knobs) for the same property.
+// variants for the same property.
 func runScanOracle(t *testing.T, workers, iters int, mut ...func(*Config)) {
 	cfg := scanOracleConfig(workers)
 	for _, m := range mut {
@@ -475,24 +475,20 @@ func TestParallelScanMatchesReadColsOracle(t *testing.T) {
 	runScanOracle(t, 4, 120)
 }
 
-// TestScanOracleStorageVariants re-runs the oracle property across the
-// compression knob matrix: raw pages, compressed pages with the encoded
-// predicate path disabled (decode-then-filter), and each again under the
-// parallel pool. The default config (compressed + encoded scan) is covered
-// by the two tests above; together the four variants pin the "one scan
-// engine" invariant — every storage representation must produce identical
-// results through the identical engine surface.
+// TestScanOracleStorageVariants re-runs the oracle property across storage
+// variants: raw pages and spilled pages, each also under the parallel pool.
+// The default config (compressed, resident) is covered by the two tests
+// above; together the variants pin the "one scan engine" invariant — every
+// storage representation must produce identical results through the
+// identical engine surface.
 func TestScanOracleStorageVariants(t *testing.T) {
 	raw := func(c *Config) { c.DisableCompression = true }
-	noEnc := func(c *Config) { c.DisableEncodedScan = true }
 	// A pool cap of ~4 raw frames against 4+ sealed ranges × 4 pages each:
 	// every scan churns through misses and evictions while writers and the
 	// merge republish pages — the beyond-RAM variant of the same property.
 	spill := func(c *Config) { c.Spill = NewMemSpill(); c.PoolBytes = 2048 }
 	t.Run("raw", func(t *testing.T) { runScanOracle(t, 1, 60, raw) })
-	t.Run("decode-then-filter", func(t *testing.T) { runScanOracle(t, 1, 60, noEnc) })
 	t.Run("raw-parallel", func(t *testing.T) { runScanOracle(t, 4, 60, raw) })
-	t.Run("decode-then-filter-parallel", func(t *testing.T) { runScanOracle(t, 4, 60, noEnc) })
 	t.Run("spill", func(t *testing.T) { runScanOracle(t, 1, 60, spill) })
 	t.Run("spill-parallel", func(t *testing.T) { runScanOracle(t, 4, 60, spill) })
 	t.Run("spill-raw-parallel", func(t *testing.T) { runScanOracle(t, 4, 60, raw, spill) })

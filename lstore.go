@@ -189,11 +189,6 @@ type TableOptions struct {
 	// selecting an encoding (FOR bit-packing, RLE, dictionary) per column
 	// from its value distribution. Benchmark baseline knob.
 	DisableCompression bool
-	// DisableEncodedScan makes predicate-filtered scans fully decode sealed
-	// pages before filtering instead of evaluating predicates on the encoded
-	// representation and decoding only surviving 64-slot words. Benchmark
-	// baseline knob.
-	DisableEncodedScan bool
 
 	// Spill attaches beyond-RAM base storage: sealed and merged base pages
 	// are written to this sink in their encoded form and read back through a
