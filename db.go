@@ -242,7 +242,6 @@ func (db *DB) CreateTable(name string, schema Schema, opts ...TableOptions) (*Ta
 		MergeColumnsIndependently: o.MergeColumnsIndependently,
 		MergeWorkers:              o.MergeWorkers,
 		ScanWorkers:               o.ScanWorkers,
-		DisableCompression:        o.DisableCompression,
 		Spill:                     o.Spill,
 		PoolBytes:                 o.PoolBytes,
 		CheckpointSpillRefs:       o.CheckpointSpillRefs,

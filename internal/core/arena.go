@@ -73,11 +73,8 @@ func (a *mergeArena) colScratch(ncols int) {
 }
 
 // encodePage publishes a base page from arena-backed scratch: codec selection
-// per the column's value distribution (§4.1 step 3), or a raw copy when
-// compression is disabled. Either way the result never aliases vals.
+// per the column's value distribution (§4.1 step 3). The result never
+// aliases vals.
 func (s *Store) encodePage(vals []uint64) page.Reader {
-	if s.cfg.DisableCompression {
-		return page.NewRaw(append(make([]uint64, 0, len(vals)), vals...))
-	}
 	return page.EncodeScratch(vals)
 }

@@ -105,12 +105,6 @@ type Config struct {
 	// indexes on (key column always has the primary index).
 	SecondaryIndexColumns []int
 
-	// DisableCompression publishes sealed/merged base pages raw instead of
-	// picking an encoding per column from its value distribution (§4.1
-	// step 3). Benchmark baseline knob; compression is otherwise invisible
-	// above this package.
-	DisableCompression bool
-
 	// Spill enables beyond-RAM base storage: sealed/merged base pages are
 	// appended to this sink in their page.MarshalEncoded form and faulted
 	// back in through a pinnable buffer pool on read. Tail pages, unmerged

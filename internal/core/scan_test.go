@@ -250,23 +250,45 @@ func scanOracleConfig(workers int) Config {
 	return cfg
 }
 
+// scanOracleSetup is what a storage variant of runScanOracle may change: the
+// store config, and rawData, which loads column 1 so that no codec wins and
+// its sealed pages publish raw.
+type scanOracleSetup struct {
+	cfg     Config
+	rawData bool
+}
+
 // runScanOracle drives concurrent writers and mergers while the main
 // goroutine repeatedly compares every engine path against the readCols
-// oracle at a fixed snapshot. Optional config mutators select storage
-// variants for the same property.
-func runScanOracle(t *testing.T, workers, iters int, mut ...func(*Config)) {
-	cfg := scanOracleConfig(workers)
+// oracle at a fixed snapshot. Optional mutators select storage variants for
+// the same property.
+func runScanOracle(t *testing.T, workers, iters int, mut ...func(*scanOracleSetup)) {
+	o := scanOracleSetup{cfg: scanOracleConfig(workers)}
 	for _, m := range mut {
-		m(&cfg)
+		m(&o)
 	}
-	s := newTestStore(t, cfg)
+	s := newTestStore(t, o.cfg)
 	const rows = 300 // 4 sealed ranges of 64 + a live insert range
 	mustCommit(t, s, func(tx *txn.Txn) {
 		for i := int64(0); i < rows; i++ {
-			insertRow(t, s, tx, i, 10*i, int64(i%7), 30*i)
+			v1 := 10 * i
+			if o.rawData && i%2 == 1 {
+				// ±(2^62 + i), alternating in sign: the page's span exceeds
+				// 2^63, so FOR packing refuses, and every value is distinct,
+				// so dictionary and RLE lose. Even rows keep 10*i, so the
+				// col-1 predicate window below still selects rows.
+				v1 = 1<<62 + i
+				if i%4 == 3 {
+					v1 = -v1
+				}
+			}
+			insertRow(t, s, tx, i, v1, int64(i%7), 30*i)
 		}
 	})
 	s.ForceMerge() // seal the full ranges so sealed fast paths exist from iter 0
+	if o.rawData && s.CompressionStats().PagesRaw == 0 {
+		t.Fatal("rawData variant sealed no raw pages")
+	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -476,17 +498,17 @@ func TestParallelScanMatchesReadColsOracle(t *testing.T) {
 }
 
 // TestScanOracleStorageVariants re-runs the oracle property across storage
-// variants: raw pages and spilled pages, each also under the parallel pool.
-// The default config (compressed, resident) is covered by the two tests
-// above; together the variants pin the "one scan engine" invariant — every
-// storage representation must produce identical results through the
-// identical engine surface.
+// variants: raw pages (from incompressible data) and spilled pages, each
+// also under the parallel pool. The default config (compressed, resident)
+// is covered by the two tests above; together the variants pin the "one
+// scan engine" invariant — every storage representation must produce
+// identical results through the identical engine surface.
 func TestScanOracleStorageVariants(t *testing.T) {
-	raw := func(c *Config) { c.DisableCompression = true }
+	raw := func(o *scanOracleSetup) { o.rawData = true }
 	// A pool cap of ~4 raw frames against 4+ sealed ranges × 4 pages each:
 	// every scan churns through misses and evictions while writers and the
 	// merge republish pages — the beyond-RAM variant of the same property.
-	spill := func(c *Config) { c.Spill = NewMemSpill(); c.PoolBytes = 2048 }
+	spill := func(o *scanOracleSetup) { o.cfg.Spill = NewMemSpill(); o.cfg.PoolBytes = 2048 }
 	t.Run("raw", func(t *testing.T) { runScanOracle(t, 1, 60, raw) })
 	t.Run("raw-parallel", func(t *testing.T) { runScanOracle(t, 4, 60, raw) })
 	t.Run("spill", func(t *testing.T) { runScanOracle(t, 1, 60, spill) })

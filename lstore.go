@@ -185,10 +185,6 @@ type TableOptions struct {
 	// DisableAutoMerge turns off the background merge thread; merges then
 	// run only through Table.Merge (deterministic tests).
 	DisableAutoMerge bool
-	// DisableCompression publishes sealed/merged base pages raw instead of
-	// selecting an encoding (FOR bit-packing, RLE, dictionary) per column
-	// from its value distribution. Benchmark baseline knob.
-	DisableCompression bool
 
 	// Spill attaches beyond-RAM base storage: sealed and merged base pages
 	// are written to this sink in their encoded form and read back through a
