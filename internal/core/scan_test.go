@@ -498,19 +498,23 @@ func TestParallelScanMatchesReadColsOracle(t *testing.T) {
 }
 
 // TestScanOracleStorageVariants re-runs the oracle property across storage
-// variants: raw pages (from incompressible data) and spilled pages, each
-// also under the parallel pool. The default config (compressed, resident)
-// is covered by the two tests above; together the variants pin the "one
-// scan engine" invariant — every storage representation must produce
-// identical results through the identical engine surface.
+// variants: raw pages (from incompressible data), row-layout pages (filtered
+// through CompiledPred's generic branch) and spilled pages, each also under
+// the parallel pool. The default config (compressed, resident) is covered by
+// the two tests above; together the variants pin the "one scan engine"
+// invariant — every storage representation must produce identical results
+// through the identical engine surface.
 func TestScanOracleStorageVariants(t *testing.T) {
 	raw := func(o *scanOracleSetup) { o.rawData = true }
 	// A pool cap of ~4 raw frames against 4+ sealed ranges × 4 pages each:
 	// every scan churns through misses and evictions while writers and the
 	// merge republish pages — the beyond-RAM variant of the same property.
 	spill := func(o *scanOracleSetup) { o.cfg.Spill = NewMemSpill(); o.cfg.PoolBytes = 2048 }
+	row := func(o *scanOracleSetup) { o.cfg.Layout = RowLayout }
 	t.Run("raw", func(t *testing.T) { runScanOracle(t, 1, 60, raw) })
 	t.Run("raw-parallel", func(t *testing.T) { runScanOracle(t, 4, 60, raw) })
+	t.Run("row", func(t *testing.T) { runScanOracle(t, 1, 60, row) })
+	t.Run("row-parallel", func(t *testing.T) { runScanOracle(t, 4, 60, row) })
 	t.Run("spill", func(t *testing.T) { runScanOracle(t, 1, 60, spill) })
 	t.Run("spill-parallel", func(t *testing.T) { runScanOracle(t, 4, 60, spill) })
 	t.Run("spill-raw-parallel", func(t *testing.T) { runScanOracle(t, 4, 60, raw, spill) })
