@@ -235,16 +235,15 @@ func (db *DB) CreateTable(name string, schema Schema, opts ...TableOptions) (*Ta
 		o = opts[0]
 	}
 	cfg := core.Config{
-		RangeSize:                 o.RangeSize,
-		MergeBatch:                o.MergeBatch,
-		CumulativeUpdates:         !o.DisableCumulativeUpdates,
-		AutoMerge:                 !o.DisableAutoMerge,
-		MergeColumnsIndependently: o.MergeColumnsIndependently,
-		MergeWorkers:              o.MergeWorkers,
-		ScanWorkers:               o.ScanWorkers,
-		Spill:                     o.Spill,
-		PoolBytes:                 o.PoolBytes,
-		CheckpointSpillRefs:       o.CheckpointSpillRefs,
+		RangeSize:           o.RangeSize,
+		MergeBatch:          o.MergeBatch,
+		CumulativeUpdates:   !o.DisableCumulativeUpdates,
+		AutoMerge:           !o.DisableAutoMerge,
+		MergeWorkers:        o.MergeWorkers,
+		ScanWorkers:         o.ScanWorkers,
+		Spill:               o.Spill,
+		PoolBytes:           o.PoolBytes,
+		CheckpointSpillRefs: o.CheckpointSpillRefs,
 	}
 	if o.RowLayout {
 		cfg.Layout = core.RowLayout

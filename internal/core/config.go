@@ -94,13 +94,6 @@ type Config struct {
 	// (useful for tests that force the parallel path).
 	ScanWorkers int
 
-	// MergeColumnsIndependently makes the background merge consolidate each
-	// updated column in a separate pass (exercising the per-column lineage
-	// of §4.2). Point reads and scans remain correct either way; full-range
-	// merges are the default because they also refresh the Last Updated
-	// Time meta-column.
-	MergeColumnsIndependently bool
-
 	// SecondaryIndexColumns lists data columns to maintain secondary
 	// indexes on (key column always has the primary index).
 	SecondaryIndexColumns []int

@@ -72,13 +72,7 @@ func (s *Store) mergeWorker() {
 			s.TrySeal(r)
 		}
 		if r.sealed.Load() {
-			if s.cfg.MergeColumnsIndependently {
-				for c := 0; c < s.schema.NumCols(); c++ {
-					s.mergeRange(r, c)
-				}
-			} else {
-				s.mergeRange(r, -1)
-			}
+			s.mergeRange(r, -1)
 		}
 		s.em.TryReclaim()
 		// Forget finished transactions whose Start Time slots have all been

@@ -169,8 +169,6 @@ type TableOptions struct {
 	// RowLayout stores base data row-major instead of columnar (the
 	// L-Store (Row) variant of the paper's Tables 8 and 9).
 	RowLayout bool
-	// MergeColumnsIndependently merges each column in its own pass (§4.2).
-	MergeColumnsIndependently bool
 	// MergeWorkers sizes the background merge-scheduler pool (distinct
 	// ranges merge concurrently; default GOMAXPROCS, capped at 8).
 	MergeWorkers int

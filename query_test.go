@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestQueryEndToEnd exercises every terminal verb and plan shape on a
@@ -184,8 +185,7 @@ func runQueryOracle(t *testing.T, workers int, perColumnMerge bool, iters int, m
 	defer db.Close()
 	opts := TableOptions{
 		RangeSize: 64, MergeBatch: 8, ScanWorkers: workers,
-		MergeColumnsIndependently: perColumnMerge,
-		SecondaryIndexes:          []string{"region"},
+		SecondaryIndexes: []string{"region"},
 	}
 	for _, m := range mut {
 		m(&opts)
@@ -256,6 +256,25 @@ func runQueryOracle(t *testing.T, workers int, perColumnMerge bool, iters int, m
 				tx.Commit() //nolint:errcheck
 			}
 		}(int64(w) + 1)
+	}
+	if perColumnMerge {
+		// Independent per-column merges (§4.2) beside the background full
+		// merges, so scans see columns whose lineages have diverged.
+		nRanges := len(tbl.store.LineageSnapshot())
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(5))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				tbl.store.MergeColumn(r.Intn(nRanges), r.Intn(4))
+				time.Sleep(200 * time.Microsecond) // don't monopolize small hosts
+			}
+		}()
 	}
 
 	r := rand.New(rand.NewSource(11))
@@ -389,7 +408,7 @@ func TestQueryPlansMatchGetAtOracle(t *testing.T) {
 }
 
 // TestQueryPlansMatchGetAtOracleParallel: the worker pool forced on and
-// per-column background merges — run with -race this is the concurrency test
+// per-column merges beside the background ones — run with -race this is the concurrency test
 // for parallel filtered scans at the API layer.
 func TestQueryPlansMatchGetAtOracleParallel(t *testing.T) {
 	runQueryOracle(t, 4, true, 30)
