@@ -41,6 +41,15 @@ func newTestStore(t *testing.T, cfg Config) *Store {
 	return s
 }
 
+// colVer returns column col's base version in r's current published version
+// (nil while the range is unsealed).
+func (r *updateRange) colVer(col int) *colVersion {
+	if v := r.version.Load(); v != nil {
+		return &v.cols[col]
+	}
+	return nil
+}
+
 // mustCommit runs fn inside a read-committed transaction and commits.
 func mustCommit(t *testing.T, s *Store, fn func(tx *txn.Txn)) *txn.Txn {
 	t.Helper()

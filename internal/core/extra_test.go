@@ -318,7 +318,7 @@ func TestIndependentColumnMergeWithDeletes(t *testing.T) {
 		t.Fatal("column merge consumed nothing")
 	}
 	r := s.rangeAt(0)
-	if !r.isMergedDeleted(7) {
+	if !r.version.Load().mergedDeleted(7) {
 		t.Fatal("delete flag not set by column merge")
 	}
 	if _, ok := getRow(t, s, 7); ok {

@@ -239,7 +239,7 @@ func (s *Store) compressRangeHistory(r *updateRange) int {
 // boundary: remaining needed columns and (if still undecided) the record's
 // existence are resolved from the history store, falling back to base
 // values for never-updated columns exactly like the chain-end path.
-func (r *updateRange) readFromHistory(view readView, slot int, cols []int, out []uint64, need uint64, decided bool, res readResult) readResult {
+func (r *updateRange) readFromHistory(view readView, b baseView, slot int, cols []int, out []uint64, need uint64, decided bool, res readResult) readResult {
 	s := r.store
 	q := view.ts
 	if !view.asOf {
@@ -304,14 +304,14 @@ func (r *updateRange) readFromHistory(view readView, slot int, cols []int, out [
 		}
 	}
 	if !decided {
-		if !r.baseVisible(s, view, slot) {
+		if !r.baseVisible(s, view, b, slot) {
 			return res
 		}
 		res.decidingRID = r.firstRID + types.RID(slot)
 	}
 	for i, c := range cols {
 		if need&(1<<uint(c)) != 0 {
-			out[i] = r.baseValue(slot, c)
+			out[i] = b.value(slot, c)
 		}
 	}
 	res.exists = true

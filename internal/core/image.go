@@ -36,16 +36,13 @@ var ErrImageShape = errors.New("core: range image shape mismatch")
 // ARE the range's whole state), and every Start Time slot either ∅ or a
 // plain committed timestamp at or before ts (a row sealed after the cut
 // would smuggle post-snapshot state into the image).
-func (s *Store) coldRange(r *updateRange, ts types.Timestamp) (mv *metaVersion, ok bool) {
-	if !r.sealed.Load() || r.appended.Load() != 0 || r.n != s.cfg.RangeSize {
+func (s *Store) coldRange(r *updateRange, ts types.Timestamp) (v *rangeVersion, ok bool) {
+	v = r.version.Load() // before the tail count, so v cannot include a merge
+	if v == nil || r.appended.Load() != 0 || r.n != s.cfg.RangeSize {
 		return nil, false
 	}
-	mv = r.meta.Load()
-	if mv == nil {
-		return nil, false
-	}
-	st := mv.startTime.MustPin() // one pin covers the whole slot walk
-	defer mv.startTime.Unpin()
+	st := v.meta.startTime.MustPin() // one pin covers the whole slot walk
+	defer v.meta.startTime.Unpin()
 	for i, n := 0, st.Len(); i < n; i++ {
 		raw := st.Get(i)
 		if raw == types.NullSlot {
@@ -55,7 +52,7 @@ func (s *Store) coldRange(r *updateRange, ts types.Timestamp) (mv *metaVersion, 
 			return nil, false
 		}
 	}
-	return mv, true
+	return v, true
 }
 
 // ColdRangeImages captures every cold range as of ts. Row-layout stores and
@@ -75,13 +72,13 @@ func (s *Store) ColdRangeImages(ts types.Timestamp) []RangeImage {
 	var out []RangeImage
 	for i := 0; i < s.rangeCount(); i++ {
 		r := s.rangeAt(i)
-		mv, ok := s.coldRange(r, ts)
+		v, ok := s.coldRange(r, ts)
 		if !ok {
 			continue
 		}
 		// Marshal from the PINNED concrete pages: marshaling a handle
 		// directly would flatten the page to raw through point reads.
-		st := mv.startTime.MustPin()
+		st := v.meta.startTime.MustPin()
 		img := RangeImage{
 			FirstRID: r.firstRID,
 			N:        r.n,
@@ -96,21 +93,12 @@ func (s *Store) ColdRangeImages(ts types.Timestamp) []RangeImage {
 				}
 			}
 		}
-		mv.startTime.Unpin()
-		complete := true
-		for c := range img.Cols {
-			cv := r.colVer(c)
-			if cv == nil {
-				complete = false
-				break
-			}
-			pg := cv.data.MustPin()
-			img.Cols[c] = page.MarshalEncoded(pg)
+		v.meta.startTime.Unpin()
+		for c, cv := range v.cols {
+			img.Cols[c] = page.MarshalEncoded(cv.data.MustPin())
 			cv.data.Unpin()
 		}
-		if complete {
-			out = append(out, img)
-		}
+		out = append(out, img)
 	}
 	return out
 }
@@ -197,22 +185,21 @@ func (s *Store) InstallRangeImage(img RangeImage, row func(key int64, vals []typ
 		installed++
 	}
 
-	// Publish: column versions, then meta, then sealed — the order a normal
+	// Publish the version, then drop the insert block — the order a normal
 	// seal uses. TPS 0 on everything: zero tail lineage by construction.
 	// With a spill attached the restored pages spill like any seal would;
 	// the const meta pages stay resident (a handful of words each, and a
 	// cold range's Last Updated/Schema Encoding are never checkpointed).
-	ncolsTotal := len(pages)
-	for c := range pages {
-		r.cols[c].Store(&colVersion{tps: 0, data: s.publishPage(r, c, pages[c])})
-	}
-	r.meta.Store(&metaVersion{
+	v := &rangeVersion{cols: make([]colVersion, ncols), meta: metaVersion{
 		tps:         0,
-		startTime:   s.publishPage(r, ncolsTotal+spillSlotStart, starts),
+		startTime:   s.publishPage(r, ncols+spillSlotStart, starts),
 		lastUpdated: bufpool.NewResident(page.NewConst(types.NullSlot, img.N)),
 		schemaEnc:   bufpool.NewResident(page.NewConst(0, img.N)),
-	})
-	r.sealed.Store(true)
+	}}
+	for c := range pages {
+		v.cols[c] = colVersion{tps: 0, data: s.publishPage(r, c, pages[c])}
+	}
+	r.version.Store(v)
 	r.insertBlock.Store(nil)
 	s.stats.Seals.Add(1)
 	s.stats.Inserts.Add(uint64(installed))
@@ -319,11 +306,11 @@ func (s *Store) ColdRangeRefs(ts types.Timestamp) []RangeRef {
 	var out []RangeRef
 	for i := 0; i < s.rangeCount(); i++ {
 		r := s.rangeAt(i)
-		mv, ok := s.coldRange(r, ts)
+		v, ok := s.coldRange(r, ts)
 		if !ok {
 			continue
 		}
-		stDesc, ok := mv.startTime.Desc()
+		stDesc, ok := v.meta.startTime.Desc()
 		if !ok {
 			continue
 		}
@@ -333,7 +320,7 @@ func (s *Store) ColdRangeRefs(ts types.Timestamp) []RangeRef {
 			Cols:     make([]SpillDesc, s.schema.NumCols()),
 			Starts:   stDesc,
 		}
-		st := mv.startTime.MustPin()
+		st := v.meta.startTime.MustPin()
 		for slot, n := 0, st.Len(); slot < n; slot++ {
 			if raw := st.Get(slot); raw != types.NullSlot {
 				ref.Rows++
@@ -342,14 +329,9 @@ func (s *Store) ColdRangeRefs(ts types.Timestamp) []RangeRef {
 				}
 			}
 		}
-		mv.startTime.Unpin()
+		v.meta.startTime.Unpin()
 		complete := true
-		for c := range ref.Cols {
-			cv := r.colVer(c)
-			if cv == nil {
-				complete = false
-				break
-			}
+		for c, cv := range v.cols {
 			if ref.Cols[c], ok = cv.data.Desc(); !ok {
 				complete = false
 				break

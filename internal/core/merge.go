@@ -18,7 +18,7 @@ import (
 //  3. consolidates them by applying the newest value per (record, column)
 //     in a reverse scan (Algorithm 1), skipping pre-image snapshot records
 //     and aborted tombstones,
-//  4. swaps the per-column version pointers (the only foreground action),
+//  4. swaps the range's version pointer (the only foreground action),
 //  5. retires the outdated pages through the epoch manager.
 //
 // The Indirection column is never read or written by the merge; writers keep
@@ -33,7 +33,7 @@ func (s *Store) maybeEnqueueMerge(r *updateRange) {
 	if !s.cfg.AutoMerge || s.closed.Load() {
 		return
 	}
-	needsSeal := !r.sealed.Load() && r.insertFull()
+	needsSeal := r.version.Load() == nil && r.insertFull()
 	if r.pendingTail() < int64(s.cfg.MergeBatch) && !needsSeal {
 		return
 	}
@@ -68,12 +68,10 @@ func (s *Store) mergeWorker() {
 	defer s.mergeWG.Done()
 	for r := range s.mergeQ {
 		r.inQueue.Store(false)
-		if !r.sealed.Load() {
+		if r.version.Load() == nil {
 			s.TrySeal(r)
 		}
-		if r.sealed.Load() {
-			s.mergeRange(r, -1)
-		}
+		s.mergeRange(r, -1)
 		s.em.TryReclaim()
 		// Forget finished transactions whose Start Time slots have all been
 		// lazily swapped (§5.1.1's transaction-manager hashtable hygiene).
@@ -94,7 +92,7 @@ func allColsMask(n int) uint64 { return 1<<uint(n) - 1 }
 func (s *Store) TrySeal(r *updateRange) bool {
 	r.mergeMu.Lock()
 	defer r.mergeMu.Unlock()
-	if r.sealed.Load() {
+	if r.version.Load() != nil {
 		return true
 	}
 	ib := r.insertBlock.Load()
@@ -112,7 +110,7 @@ func (s *Store) TrySeal(r *updateRange) bool {
 func (s *Store) ForceSeal(r *updateRange) bool {
 	r.mergeMu.Lock()
 	defer r.mergeMu.Unlock()
-	if r.sealed.Load() {
+	if r.version.Load() != nil {
 		return true
 	}
 	ib := r.insertBlock.Load()
@@ -168,6 +166,7 @@ func (s *Store) sealLocked(r *updateRange, ib *tailBlock) bool {
 	}
 
 	ncols := s.schema.NumCols()
+	next := &rangeVersion{cols: make([]colVersion, ncols)}
 	if s.cfg.Layout == RowLayout {
 		slab := make([]uint64, n*ncols)
 		for c := 0; c < ncols; c++ {
@@ -182,7 +181,7 @@ func (s *Store) sealLocked(r *updateRange, ib *tailBlock) bool {
 		}
 		for c := 0; c < ncols; c++ {
 			// Row slabs never spill (point-read locality is their purpose).
-			r.cols[c].Store(&colVersion{tps: 0, data: bufpool.NewResident(rowView{data: slab, ncols: ncols, col: c, n: n})})
+			next.cols[c] = colVersion{tps: 0, data: bufpool.NewResident(rowView{data: slab, ncols: ncols, col: c, n: n})}
 		}
 	} else {
 		vals := a.u64(&a.vals, n) // one arena buffer, refilled per column
@@ -195,7 +194,7 @@ func (s *Store) sealLocked(r *updateRange, ib *tailBlock) bool {
 					vals[i] = types.NullSlot
 				}
 			}
-			r.cols[c].Store(&colVersion{tps: 0, data: s.publishPage(r, c, s.encodePage(vals))})
+			next.cols[c] = colVersion{tps: 0, data: s.publishPage(r, c, s.encodePage(vals))}
 		}
 	}
 
@@ -205,13 +204,13 @@ func (s *Store) sealLocked(r *updateRange, ib *tailBlock) bool {
 		nulls[i] = types.NullSlot
 		zeros[i] = 0
 	}
-	r.meta.Store(&metaVersion{
+	next.meta = metaVersion{
 		tps:         0,
 		startTime:   s.publishPage(r, ncols+spillSlotStart, s.encodePage(starts)),
 		lastUpdated: s.publishPage(r, ncols+spillSlotLastUpdated, s.encodePage(nulls)),
 		schemaEnc:   s.publishPage(r, ncols+spillSlotSchemaEnc, s.encodePage(zeros)),
-	})
-	r.sealed.Store(true)
+	}
+	r.version.Store(next)
 
 	// Step 5 for table-level tail pages: unlike regular tail pages they are
 	// discarded permanently once pre-seal readers drain (§4.1).
@@ -311,7 +310,8 @@ func (s *Store) collectPrefixLocked(r *updateRange, from int64, limit int, out [
 func (s *Store) mergeRange(r *updateRange, col int) int {
 	r.mergeMu.Lock()
 	defer r.mergeMu.Unlock()
-	if !r.sealed.Load() {
+	cur := r.version.Load() // only mergeMu holders publish, so cur stays current
+	if cur == nil {
 		return 0 // base records must be outside the insert range (§3.2)
 	}
 	ncols := s.schema.NumCols()
@@ -349,10 +349,10 @@ func (s *Store) mergeRange(r *updateRange, col int) int {
 		// slabs; a full merge must then rebuild from each column's OWN
 		// version so no column's consolidated state is lost. In the common
 		// case every column still shares one slab — copy it wholesale.
-		first, _ := asRowView(r.colVer(0).data)
+		first, _ := asRowView(cur.cols[0].data)
 		shared := true
 		for c := 1; c < ncols && shared; c++ {
-			v, ok := asRowView(r.colVer(c).data)
+			v, ok := asRowView(cur.cols[c].data)
 			shared = ok && &v.data[0] == &first.data[0]
 		}
 		switch {
@@ -363,14 +363,14 @@ func (s *Store) mergeRange(r *updateRange, col int) int {
 			// A per-column merge publishes a view of one column; only that
 			// stride of the new slab is ever read.
 			rowSlab = make([]uint64, r.n*ncols)
-			src := r.colVer(col).data
+			src := cur.cols[col].data
 			for i := 0; i < r.n; i++ {
 				rowSlab[i*ncols+col] = src.Get(i)
 			}
 		default:
 			rowSlab = make([]uint64, r.n*ncols)
 			for c := 0; c < ncols; c++ {
-				src := r.colVer(c).data
+				src := cur.cols[c].data
 				for i := 0; i < r.n; i++ {
 					rowSlab[i*ncols+c] = src.Get(i)
 				}
@@ -379,7 +379,7 @@ func (s *Store) mergeRange(r *updateRange, col int) int {
 	}
 	colVals := func(c int) []uint64 {
 		if !a.workUsed[c] {
-			a.work[c] = decodeInto(a.work[c][:0], r.colVer(c).data)
+			a.work[c] = decodeInto(a.work[c][:0], cur.cols[c].data)
 			a.workUsed[c] = true
 		}
 		return a.work[c]
@@ -441,72 +441,62 @@ func (s *Store) mergeRange(r *updateRange, col int) int {
 		}
 	}
 
-	// Step 4: compress and swap the page-directory pointers. Each target
-	// column publishes max(old, new): a column untouched by the consumed
-	// prefix still gets the lineage bump (none of those records changed it),
-	// while a column whose independent merge ran ahead keeps its TPS — and
-	// skips the swap entirely when the prefix is wholly behind its cursor.
+	// Step 4: build the next version and swap it in. Each target column
+	// publishes max(old, new): a column untouched by the consumed prefix
+	// still gets the lineage bump (none of those records changed it), while
+	// a column whose independent merge ran ahead keeps its TPS and its pages.
+	next := &rangeVersion{cols: append([]colVersion(nil), cur.cols...), meta: cur.meta, deleted: cur.deleted}
 	for c := 0; c < ncols; c++ {
 		if targets&(1<<uint(c)) == 0 {
 			continue
 		}
-		old := r.colVer(c)
 		stamped := r.lineage.advance(c, end, newTPS)
 		switch {
 		case rowSlab != nil:
-			r.cols[c].Store(&colVersion{tps: stamped, data: bufpool.NewResident(rowView{data: rowSlab, ncols: ncols, col: c, n: r.n})})
+			next.cols[c] = colVersion{tps: stamped, data: bufpool.NewResident(rowView{data: rowSlab, ncols: ncols, col: c, n: r.n})}
+		case a.workUsed[c]:
+			next.cols[c] = colVersion{tps: stamped, data: s.publishPage(r, c, s.encodePage(a.work[c]))}
 		default:
-			if a.workUsed[c] {
-				r.cols[c].Store(&colVersion{tps: stamped, data: s.publishPage(r, c, s.encodePage(a.work[c]))})
-			} else {
-				if stamped == old.tps {
-					continue // already consolidated past this prefix
-				}
-				// Lineage-only bump: the new version reuses old.data, so the
-				// handle stays live and must not be released below.
-				r.cols[c].Store(&colVersion{tps: stamped, data: old.data})
-				s.retireVersion(old)
-				continue
-			}
+			next.cols[c].tps = stamped // lineage-only bump: the pages are shared
 		}
-		old.data.Release() // epoch readers keep their pins; spill keeps the bytes
-		s.retireVersion(old)
 	}
 
 	// Merged deletes become visible to the point-read fast path.
-	for slot := range deleted {
-		r.setMergedDeleted(slot)
+	if len(deleted) > 0 {
+		next.deleted = make([]uint64, (r.n+63)/64)
+		copy(next.deleted, cur.deleted)
+		for slot := range deleted {
+			next.deleted[slot>>6] |= 1 << uint(slot&63)
+		}
 	}
 
 	// Meta-columns: full merges refresh Last Updated Time and the base
 	// Schema Encoding (§2.2: "populated after the merge"); the original
 	// Start Time column is preserved.
 	if col < 0 {
-		if mv := r.meta.Load(); mv != nil {
-			last := decodeInto(a.meta1[:0], mv.lastUpdated)
-			encs := decodeInto(a.meta2[:0], mv.schemaEnc)
-			a.meta1, a.meta2 = last, encs
-			for slot, ts := range appliedTS {
-				if last[slot] == types.NullSlot || last[slot] < ts {
-					last[slot] = ts
-				}
+		last := decodeInto(a.meta1[:0], cur.meta.lastUpdated)
+		encs := decodeInto(a.meta2[:0], cur.meta.schemaEnc)
+		a.meta1, a.meta2 = last, encs
+		for slot, ts := range appliedTS {
+			if last[slot] == types.NullSlot || last[slot] < ts {
+				last[slot] = ts
 			}
-			for slot, bits := range applied {
-				if deleted[slot] {
-					encs[slot] |= types.SchemaDeleteFlag
-				}
-				encs[slot] |= bits &^ types.SchemaDeleteFlag
+		}
+		for slot, bits := range applied {
+			if deleted[slot] {
+				encs[slot] |= types.SchemaDeleteFlag
 			}
-			r.meta.Store(&metaVersion{
-				tps:         r.lineage.advanceMeta(end, newTPS),
-				startTime:   mv.startTime, // preserved across merges: handle reused
-				lastUpdated: s.publishPage(r, ncols+spillSlotLastUpdated, s.encodePage(last)),
-				schemaEnc:   s.publishPage(r, ncols+spillSlotSchemaEnc, s.encodePage(encs)),
-			})
-			mv.lastUpdated.Release()
-			mv.schemaEnc.Release()
+			encs[slot] |= bits &^ types.SchemaDeleteFlag
+		}
+		next.meta = metaVersion{
+			tps:         r.lineage.advanceMeta(end, newTPS),
+			startTime:   cur.meta.startTime, // preserved across merges: handle reused
+			lastUpdated: s.publishPage(r, ncols+spillSlotLastUpdated, s.encodePage(last)),
+			schemaEnc:   s.publishPage(r, ncols+spillSlotSchemaEnc, s.encodePage(encs)),
 		}
 	}
+	r.version.Store(next)
+	s.retireVersion(cur, next)
 
 	r.consumedMin.Store(r.lineage.minCursor())
 	s.stats.Merges.Add(1)
@@ -514,16 +504,27 @@ func (s *Store) mergeRange(r *updateRange, col int) int {
 	return len(prefix)
 }
 
-// retireVersion hands an outdated base version to the epoch manager
-// (Figure 6, §4.1 step 5). The callback is bookkeeping: Go's GC performs the
-// actual free once the last pinned reader drops its reference, which the
-// epoch protocol guarantees has happened.
-func (s *Store) retireVersion(old *colVersion) {
-	if old == nil {
-		return
+// retireVersion hands the column versions that old owned and next replaced
+// to the epoch manager (Figure 6, §4.1 step 5), and releases every page
+// handle next no longer shares (epoch readers keep their pins; spill keeps
+// the bytes). The callback is bookkeeping: Go's GC performs the actual free
+// once the last pinned reader drops its reference, which the epoch protocol
+// guarantees has happened.
+func (s *Store) retireVersion(old, next *rangeVersion) {
+	for c := range old.cols {
+		if old.cols[c] == next.cols[c] {
+			continue
+		}
+		if old.cols[c].data != next.cols[c].data {
+			old.cols[c].data.Release()
+		}
+		s.stats.PagesRetired.Add(1)
+		s.em.Retire(func() { s.stats.PagesReclaimed.Add(1) })
 	}
-	s.stats.PagesRetired.Add(1)
-	s.em.Retire(func() { s.stats.PagesReclaimed.Add(1) })
+	if old.meta.lastUpdated != next.meta.lastUpdated {
+		old.meta.lastUpdated.Release()
+		old.meta.schemaEnc.Release()
+	}
 }
 
 // ForceMerge runs full merges synchronously until every backlog is drained
@@ -532,11 +533,8 @@ func (s *Store) ForceMerge() int {
 	total := 0
 	for i := 0; i < s.rangeCount(); i++ {
 		r := s.rangeAt(i)
-		if !r.sealed.Load() && r.insertFull() {
+		if r.version.Load() == nil && r.insertFull() {
 			s.TrySeal(r)
-		}
-		if !r.sealed.Load() {
-			continue
 		}
 		for {
 			n := s.mergeRange(r, -1)
@@ -554,7 +552,7 @@ func (s *Store) ForceMerge() int {
 // per-column lineage of §4.2). Returns records consumed.
 func (s *Store) MergeColumn(ri, col int) int {
 	r := s.rangeAt(ri)
-	if !r.sealed.Load() && !s.TrySeal(r) {
+	if r.version.Load() == nil && !s.TrySeal(r) {
 		return 0
 	}
 	return s.mergeRange(r, col)
@@ -569,28 +567,22 @@ func (s *Store) SealRange(ri int) bool { return s.ForceSeal(s.rangeAt(ri)) }
 // it reconstructs per column from tail records, Theorem 2 — which is exactly
 // what readCols does by consulting each column's own TPS).
 func (s *Store) CheckTPSConsistency(ri int) (types.RID, bool) {
-	r := s.rangeAt(ri)
-	var tps types.RID
-	for c := 0; c < s.schema.NumCols(); c++ {
-		cv := r.colVer(c)
-		if cv == nil {
-			return 0, true // unsealed: trivially consistent (all TPS 0)
-		}
-		if c == 0 {
-			tps = cv.tps
-			continue
-		}
-		if cv.tps != tps {
-			return tps, false
+	v := s.rangeAt(ri).version.Load()
+	if v == nil {
+		return 0, true // unsealed: trivially consistent (all TPS 0)
+	}
+	for _, cv := range v.cols[1:] {
+		if cv.tps != v.cols[0].tps {
+			return v.cols[0].tps, false
 		}
 	}
-	return tps, true
+	return v.cols[0].tps, true
 }
 
 // RangeTPS returns column col's TPS for range ri (introspection).
 func (s *Store) RangeTPS(ri, col int) types.RID {
-	if cv := s.rangeAt(ri).colVer(col); cv != nil {
-		return cv.tps
+	if v := s.rangeAt(ri).version.Load(); v != nil {
+		return v.cols[col].tps
 	}
 	return 0
 }

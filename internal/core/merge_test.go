@@ -26,7 +26,7 @@ func TestSealMakesBasePagesAndDiscardsTableTail(t *testing.T) {
 	s := newTestStore(t, cfg)
 	fillRange(t, s, 64)
 	r := s.rangeAt(0)
-	if !r.sealed.Load() {
+	if r.version.Load() == nil {
 		t.Fatal("range not sealed")
 	}
 	if r.insertBlock.Load() != nil {
@@ -205,7 +205,7 @@ func TestMergeAppliesDeleteTombstones(t *testing.T) {
 	})
 	s.ForceMerge()
 	r := s.rangeAt(0)
-	if !r.isMergedDeleted(5) {
+	if !r.version.Load().mergedDeleted(5) {
 		t.Fatal("merged delete bit not set")
 	}
 	if got := r.colVer(1).data.Get(5); got != types.NullSlot {
@@ -217,6 +217,42 @@ func TestMergeAppliesDeleteTombstones(t *testing.T) {
 	// Neighbors unaffected.
 	if got, ok := getRow(t, s, 6); !ok || got[0] != 60 {
 		t.Fatalf("row 6 = %v %v", got, ok)
+	}
+}
+
+// TestReadColsTearsAcrossDeleteMerge replays the snapshot-read tear in one
+// run: a reader captures its base state and then the indirection word (the
+// readCols load step), a delete of the row is appended, committed and
+// merged, and only then does the reader walk — at a snapshot before the
+// delete. The row must still be there with its real key. A walk that fell
+// back to the CURRENT version's pages would read the merged delete's ∅.
+func TestReadColsTearsAcrossDeleteMerge(t *testing.T) {
+	s := newTestStore(t, testConfig())
+	fillRange(t, s, 64)
+	r := s.rangeAt(0)
+	const slot = 5 // fillRange inserts key i into slot i
+	ts := s.tm.Now()
+	b := r.loadBase()
+	ind := r.loadIndirection(slot)
+
+	mustCommit(t, s, func(tx *txn.Txn) {
+		if err := s.Delete(tx, slot); err != nil {
+			t.Fatal(err)
+		}
+	})
+	s.ForceMerge()
+	if !r.version.Load().mergedDeleted(slot) {
+		t.Fatal("the delete did not merge")
+	}
+
+	out := make([]uint64, 2)
+	res := r.walkChain(asOfView(ts), b, ind, slot, []int{0, 1}, out)
+	if !res.exists {
+		t.Fatal("row missing at a snapshot before its delete")
+	}
+	if out[0] != types.EncodeInt64(slot) || out[1] != types.EncodeInt64(10*slot) {
+		t.Fatalf("row at the pre-delete snapshot = (%d, %d), want key %d and A %d",
+			out[0], out[1], types.EncodeInt64(slot), types.EncodeInt64(10*slot))
 	}
 }
 

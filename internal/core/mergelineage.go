@@ -111,7 +111,7 @@ func (s *Store) LineageSnapshot() []RangeLineage {
 		r.mergeMu.Lock()
 		rl := RangeLineage{
 			Range:  i,
-			Sealed: r.sealed.Load(),
+			Sealed: r.version.Load() != nil,
 			Tail:   r.appended.Load(),
 			Cols:   make([]ColumnLineage, len(r.lineage.cols)),
 		}

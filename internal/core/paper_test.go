@@ -139,7 +139,7 @@ func TestPaperTable3InsertWithConcurrentUpdates(t *testing.T) {
 		}
 	})
 	r := s.rangeAt(0)
-	if r.sealed.Load() {
+	if r.version.Load() != nil {
 		t.Fatal("range sealed prematurely")
 	}
 	if r.insertBlock.Load() == nil {
@@ -188,7 +188,7 @@ func TestPaperTable3InsertWithConcurrentUpdates(t *testing.T) {
 func TestPaperTable4RelaxedMerge(t *testing.T) {
 	s := paperStore(t, true)
 	r := s.rangeAt(0)
-	preMeta := r.meta.Load()
+	preMeta := r.version.Load().meta
 
 	update := func(key int64, col int, v int64) {
 		mustCommit(t, s, func(tx *txn.Txn) {
@@ -221,7 +221,7 @@ func TestPaperTable4RelaxedMerge(t *testing.T) {
 		t.Fatalf("merged C[k3] = %d", got)
 	}
 	// Start Time preserved, Last Updated Time populated (§4.1 step 3).
-	mv := r.meta.Load()
+	mv := r.version.Load().meta
 	if mv.startTime.Get(1) != preMeta.startTime.Get(1) {
 		t.Fatal("merge clobbered the original Start Time column")
 	}

@@ -11,8 +11,7 @@ import (
 
 // colVersion is one column's read-only base page set for a range, stamped
 // with its in-page lineage counter (§4.2): tps is the RID of the newest tail
-// record whose effect is reflected in data. Versions are immutable; the
-// merge process swaps a new version in atomically. The page is held through
+// record whose effect is reflected in data. The page is held through
 // a buffer-pool handle, never a raw page pointer: with Config.Spill the
 // bytes may live on disk, and readers pin the handle for the duration of
 // their decode window (point reads pin per Get internally).
@@ -31,6 +30,25 @@ type metaVersion struct {
 	startTime   *bufpool.Handle // resolved insert commit times; ∅ = aborted insert
 	lastUpdated *bufpool.Handle // commit time of newest merged update; ∅ = never
 	schemaEnc   *bufpool.Handle // columns ever updated (merged view) + delete flag
+}
+
+// rangeVersion is everything a seal or merge publishes for a range: every
+// column's base version, the meta-columns, and the merged-delete bitmap.
+// Versions are immutable, and a new one is swapped in with one pointer
+// store — §4.1's page-directory swap — so a reader that loads the version
+// once sees one consistent base state.
+type rangeVersion struct {
+	cols []colVersion // one per schema column
+	meta metaVersion
+	// deleted marks slots whose delete tombstone merged into the base pages
+	// (bit per slot, packed 64/word; nil = none). A merge that merges no new
+	// delete shares its predecessor's slice.
+	deleted []uint64
+}
+
+// mergedDeleted reports whether a merged delete tombstone covers slot.
+func (v *rangeVersion) mergedDeleted(slot int) bool {
+	return v.deleted != nil && v.deleted[slot>>6]&(1<<uint(slot&63)) != 0
 }
 
 // updateRange is one virtual partition of the table (§2.1): RangeSize
@@ -53,20 +71,14 @@ type updateRange struct {
 	// path. updatedBits packs one ever-updated bit per slot (64 slots per
 	// word) and is set BEFORE the matching everUpdated word, so a clear
 	// packed bit guarantees a zero everUpdated word: scans classify 64
-	// clean slots with a single load. deletedBits marks records whose
-	// delete tombstone has been merged into base pages (gates the
-	// point-read fast path).
+	// clean slots with a single load.
 	everUpdated []atomic.Uint64
 	updatedBits []atomic.Uint64 // bit per slot, packed 64/word
-	deletedBits []atomic.Uint64 // bit per slot, packed 64/word
 
-	// Base versions. cols[i] is nil until the range is sealed; while nil the
-	// base values live in insertBlock (the table-level tail pages of §3.2).
-	cols []atomic.Pointer[colVersion]
-	meta atomic.Pointer[metaVersion]
-
+	// version is nil until the range is sealed; until then the base values
+	// live in insertBlock (the table-level tail pages of §3.2).
+	version     atomic.Pointer[rangeVersion]
 	insertBlock atomic.Pointer[tailBlock]
-	sealed      atomic.Bool
 
 	// Update-tail storage. tailBlocks is the ordered list of this range's
 	// tail blocks; appended under tmu. The flattened sequence of records
@@ -104,8 +116,6 @@ func newUpdateRange(s *Store, idx int, firstRID types.RID, n int) (*updateRange,
 		indirection: make([]uint64, n),
 		everUpdated: make([]atomic.Uint64, n),
 		updatedBits: make([]atomic.Uint64, (n+63)/64),
-		deletedBits: make([]atomic.Uint64, (n+63)/64),
-		cols:        make([]atomic.Pointer[colVersion], s.schema.NumCols()),
 		lineage:     newMergeLineage(s.schema.NumCols()),
 	}
 	empty := []*tailBlock{}
@@ -122,68 +132,58 @@ func newUpdateRange(s *Store, idx int, firstRID types.RID, n int) (*updateRange,
 
 // rowCount returns the number of base records allocated so far.
 func (r *updateRange) rowCount() int {
-	if r.sealed.Load() {
-		return r.n
-	}
-	if ib := r.insertBlock.Load(); ib != nil {
-		return ib.rids.Used()
+	if b := r.loadBase(); b.v == nil {
+		return b.ib.rids.Used()
 	}
 	return r.n
 }
-
-// colVer returns column col's current base version (nil while inserting).
-func (r *updateRange) colVer(col int) *colVersion { return r.cols[col].Load() }
 
 // loadIndirection reads the indirection word, masking the latch bit.
 func (r *updateRange) loadIndirection(slot int) types.RID {
 	return types.RID(atomic.LoadUint64(&r.indirection[slot]) & types.IndirectionRIDMask)
 }
 
-// baseStartSlot returns the raw Start Time slot of the base record: the
-// sealed meta page post-seal, the table-level tail page before. Sealing
-// publishes the meta version before discarding the insert block, so a reader
-// that observes both as missing simply raced the seal and retries.
-func (r *updateRange) baseStartSlot(slot int) uint64 {
+// baseView is the base state one read resolves against: the range's
+// published version, or its insert block while the range is unsealed (v ==
+// nil). A reader captures it before it loads an indirection word, so every
+// version the merge publishes later has consumed only tail records the
+// reader's chain walk also sees.
+type baseView struct {
+	v  *rangeVersion
+	ib *tailBlock
+}
+
+// loadBase captures r's base state. Sealing publishes the version before it
+// drops the insert block, so a reader that finds neither raced the seal and
+// retries.
+func (r *updateRange) loadBase() baseView {
 	for {
-		if mv := r.meta.Load(); mv != nil {
-			return mv.startTime.Get(slot)
+		if v := r.version.Load(); v != nil {
+			return baseView{v: v}
 		}
 		if ib := r.insertBlock.Load(); ib != nil {
-			return ib.startTime.Load(slot)
+			return baseView{ib: ib}
 		}
 	}
 }
 
-// baseValue returns the base-page value of col (sealed pages post-seal, the
-// table-level tail block before). Same seal-race retry as baseStartSlot.
-func (r *updateRange) baseValue(slot, col int) uint64 {
-	for {
-		if cv := r.colVer(col); cv != nil {
-			return cv.data.Get(slot)
-		}
-		if ib := r.insertBlock.Load(); ib != nil {
-			p := ib.dataPage(col, false)
-			if p == nil {
-				return types.NullSlot
-			}
-			return p.Load(slot)
-		}
+// startSlot returns the raw Start Time slot of the base record.
+func (b baseView) startSlot(slot int) uint64 {
+	if b.v != nil {
+		return b.v.meta.startTime.Get(slot)
 	}
+	return b.ib.startTime.Load(slot)
 }
 
-// isMergedDeleted reports whether a merged delete tombstone covers slot.
-func (r *updateRange) isMergedDeleted(slot int) bool {
-	return r.deletedBits[slot/64].Load()&(1<<uint(slot%64)) != 0
-}
-
-func (r *updateRange) setMergedDeleted(slot int) {
-	for {
-		w := &r.deletedBits[slot/64]
-		old := w.Load()
-		if old&(1<<uint(slot%64)) != 0 || w.CompareAndSwap(old, old|1<<uint(slot%64)) {
-			return
-		}
+// value returns the base value of col.
+func (b baseView) value(slot, col int) uint64 {
+	if b.v != nil {
+		return b.v.cols[col].data.Get(slot)
 	}
+	if p := b.ib.dataPage(col, false); p != nil {
+		return p.Load(slot)
+	}
+	return types.NullSlot
 }
 
 // markEverUpdated ORs bits into slot's ever-updated bitmap. The packed
@@ -301,15 +301,15 @@ func (s *Store) lazySwap(rec *tailRecord, ts types.Timestamp, st txn.Status) {
 
 // baseVisible reports whether the base record itself (its insert) is visible
 // under the view, resolving unsealed insert-range start slots.
-func (r *updateRange) baseVisible(s *Store, view readView, slot int) bool {
-	raw := r.baseStartSlot(slot)
+func (r *updateRange) baseVisible(s *Store, view readView, b baseView, slot int) bool {
+	raw := b.startSlot(slot)
 	if raw == types.NullSlot {
 		return false // aborted insert or never-written slot
 	}
 	if view.selfID != 0 && raw == view.selfID {
 		return !view.asOf
 	}
-	_, ts, st := s.resolveSlot(raw, func() uint64 { return r.baseStartSlot(slot) })
+	_, ts, st := s.resolveSlot(raw, func() uint64 { return b.startSlot(slot) })
 	switch st {
 	case txn.StatusCommitted:
 		if view.asOf {
@@ -343,7 +343,19 @@ type readResult struct {
 // Snapshot reads walk the full chain (pre-image records make originals
 // reachable, Lemma 2) and fall through to the history store once they cross
 // the historic-compression boundary (§4.3).
+//
+// The base state is loaded BEFORE the indirection word: a merge that
+// publishes after that load consumed only records the walk reaches, so the
+// chain-exhausted values below are the base record's own.
 func (r *updateRange) readCols(view readView, slot int, cols []int, out []uint64) readResult {
+	b := r.loadBase()
+	ind := r.loadIndirection(slot)
+	return r.walkChain(view, b, ind, slot, cols, out)
+}
+
+// walkChain is readCols' walk over a captured base state b and indirection
+// word ind (b must have been loaded first).
+func (r *updateRange) walkChain(view readView, b baseView, ind types.RID, slot int, cols []int, out []uint64) readResult {
 	s := r.store
 	res := readResult{}
 	var need uint64
@@ -353,27 +365,24 @@ func (r *updateRange) readCols(view readView, slot int, cols []int, out []uint64
 	}
 	decided := false
 
-	ind := r.loadIndirection(slot)
-
 	// Pure fast path for latest reads: indirection at or below every needed
 	// column's TPS means base pages are current (at most the 2nd hop below).
 	// Existence-only probes (len(cols)==0) always walk: an unmerged delete
 	// tombstone is only discoverable on the chain.
-	if !view.asOf && ind != 0 && len(cols) > 0 {
+	if !view.asOf && ind != 0 && len(cols) > 0 && b.v != nil {
 		allMerged := true
 		for _, c := range cols {
-			cv := r.colVer(c)
-			if cv == nil || ind > cv.tps {
+			if ind > b.v.cols[c].tps {
 				allMerged = false
 				break
 			}
 		}
 		if allMerged {
-			if r.isMergedDeleted(slot) {
+			if b.v.mergedDeleted(slot) {
 				return res
 			}
 			for i, c := range cols {
-				out[i] = r.baseValue(slot, c)
+				out[i] = b.value(slot, c)
 			}
 			res.exists = true
 			res.decidingRID = r.firstRID + types.RID(slot)
@@ -385,7 +394,7 @@ func (r *updateRange) readCols(view readView, slot int, cols []int, out []uint64
 	for cur.IsTail() {
 		if uint64(cur) <= r.histUpto.Load() {
 			// Remainder of the chain was re-organized into the history store.
-			return r.readFromHistory(view, slot, cols, out, need, decided, res)
+			return r.readFromHistory(view, b, slot, cols, out, need, decided, res)
 		}
 		rec, ok := s.loadTailRecord(cur)
 		if !ok {
@@ -430,9 +439,8 @@ func (r *updateRange) readCols(view readView, slot int, cols []int, out []uint64
 					if need&(1<<uint(c)) == 0 {
 						continue
 					}
-					cv := r.colVer(c)
-					if cv != nil && cur <= cv.tps {
-						out[i] = cv.data.Get(slot)
+					if b.v != nil && cur <= b.v.cols[c].tps {
+						out[i] = b.value(slot, c)
 						need &^= 1 << uint(c)
 					} else {
 						done = false
@@ -451,14 +459,14 @@ func (r *updateRange) readCols(view readView, slot int, cols []int, out []uint64
 	// still needed (columns never updated keep their original values in the
 	// merged pages).
 	if !decided {
-		if !r.baseVisible(s, view, slot) {
+		if !r.baseVisible(s, view, b, slot) {
 			return res
 		}
 		res.decidingRID = r.firstRID + types.RID(slot)
 	}
 	for i, c := range cols {
 		if need&(1<<uint(c)) != 0 {
-			out[i] = r.baseValue(slot, c)
+			out[i] = b.value(slot, c)
 		}
 	}
 	res.exists = true

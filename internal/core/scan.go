@@ -198,11 +198,10 @@ var rowBatchPool = sync.Pool{New: func() any { return new(rowBatch) }}
 // ---------------------------------------------------------------------------
 // rangeScanner: the bulk face
 
-// gatherCols captures the requested columns' immutable base versions into
-// cvs and returns their TPS extrema; ok is false while any column is still
-// unsealed. Both engine faces pin versions through this so the tps checks
-// and the page reads always use the same snapshots.
-func gatherCols(r *updateRange, cols []int, cvs []*colVersion) (minTPS, maxTPS types.RID, ok bool) {
+// gatherCols captures the requested columns' base versions from v into cvs
+// and returns their TPS extrema. Both engine faces read versions through
+// this so the tps checks and the page reads always use the same snapshots.
+func gatherCols(v *rangeVersion, cols []int, cvs []*colVersion) (minTPS, maxTPS types.RID) {
 	minTPS = ^types.RID(0)
 	if len(cols) == 0 {
 		// Existence-only reads (a bare COUNT): no column lineage can vouch
@@ -210,13 +209,10 @@ func gatherCols(r *updateRange, cols []int, cvs []*colVersion) (minTPS, maxTPS t
 		// every merged-fast-path gate (mv.tps >= maxTPS) then fails and
 		// updated slots take the chain walk, the only place an unmerged
 		// delete tombstone is discoverable.
-		return minTPS, ^types.RID(0), true
+		return minTPS, ^types.RID(0)
 	}
 	for i, c := range cols {
-		cv := r.colVer(c)
-		if cv == nil {
-			return 0, 0, false
-		}
+		cv := &v.cols[c]
 		cvs[i] = cv
 		if cv.tps < minTPS {
 			minTPS = cv.tps
@@ -225,7 +221,7 @@ func gatherCols(r *updateRange, cols []int, cvs []*colVersion) (minTPS, maxTPS t
 			maxTPS = cv.tps
 		}
 	}
-	return minTPS, maxTPS, true
+	return minTPS, maxTPS
 }
 
 // mergedCurrent is the engine's ONE merged-visibility predicate: it reports
@@ -234,10 +230,10 @@ func gatherCols(r *updateRange, cols []int, cvs []*colVersion) (minTPS, maxTPS t
 // version chain consolidated into every requested column (Indirection at or
 // below minTPS), and the newest consolidated change committed at or before
 // the snapshot (lu, the slot's Last Updated Time). deleted reports a merged
-// delete tombstone. raw and lu must come from one meta version satisfying
-// mv.tps >= maxTPS, or lu may not cover everything the column TPS claims
+// delete tombstone. raw, lu and minTPS must come from v, and v must satisfy
+// v.meta.tps >= maxTPS, or lu may not cover everything the column TPS claims
 // (§4.2's TPS interpretation + the Last Updated Time column's purpose).
-func (r *updateRange) mergedCurrent(ts types.Timestamp, slot int, raw, lu uint64, minTPS types.RID) (serve, deleted bool) {
+func (r *updateRange) mergedCurrent(v *rangeVersion, ts types.Timestamp, slot int, raw, lu uint64, minTPS types.RID) (serve, deleted bool) {
 	if raw == types.NullSlot || raw > ts {
 		return false, false
 	}
@@ -247,7 +243,7 @@ func (r *updateRange) mergedCurrent(ts types.Timestamp, slot int, raw, lu uint64
 	if lu == types.NullSlot || lu > ts {
 		return false, false
 	}
-	return true, r.isMergedDeleted(slot)
+	return true, v.mergedDeleted(slot)
 }
 
 // rangeScanner streams the visible records of ranges under one snapshot
@@ -355,15 +351,12 @@ func (rs *rangeScanner) predsMatch(vals []uint64) bool {
 // scanRange reports whether the scan ran to completion.
 func (rs *rangeScanner) scanRange(r *updateRange, slot0, nRows int, emit func(slot int, vals []uint64) bool) bool {
 	sc := rs.sc
-	mv := r.meta.Load()
-	var minTPS, maxTPS types.RID
-	sealed := mv != nil
-	if sealed {
-		minTPS, maxTPS, sealed = gatherCols(r, rs.cols, sc.cvs)
+	b := r.loadBase()
+	if b.v == nil {
+		return rs.scanUnsealed(r, b, slot0, nRows, emit)
 	}
-	if !sealed {
-		return rs.scanUnsealed(r, slot0, nRows, emit)
-	}
+	mv := &b.v.meta
+	minTPS, maxTPS := gatherCols(b.v, rs.cols, sc.cvs)
 
 	// Pin every page this window reads, once per range: the pins keep the
 	// concrete encoded readers resident through the whole predicate/decode
@@ -501,7 +494,7 @@ func (rs *rangeScanner) scanRange(r *updateRange, slot0, nRows int, emit func(sl
 			// and last changed at or before the snapshot: the merged page
 			// values ARE the values at ts, so the filter bitmap decides.
 			if luValid {
-				if serve, deleted := r.mergedCurrent(ts, slot, sc.start[slot], sc.last[slot], minTPS); serve {
+				if serve, deleted := r.mergedCurrent(b.v, ts, slot, sc.start[slot], sc.last[slot], minTPS); serve {
 					if deleted || fb&bit == 0 {
 						continue
 					}
@@ -519,7 +512,7 @@ func (rs *rangeScanner) scanRange(r *updateRange, slot0, nRows int, emit func(sl
 			// re-evaluate against the walk's output (the page value may be
 			// stale for this slot).
 			rs.slow++
-			res := r.readCols(rs.view, slot, rs.cols, sc.out)
+			res := r.walkChain(rs.view, b, r.loadIndirection(slot), slot, rs.cols, sc.out)
 			if !res.exists {
 				continue
 			}
@@ -535,12 +528,12 @@ func (rs *rangeScanner) scanRange(r *updateRange, slot0, nRows int, emit func(sl
 	return true
 }
 
-// scanUnsealed handles insert ranges (and the brief window while a seal
-// publishes versions): base values still live in table-level tail pages and
-// visibility may need transaction resolution, so clean slots read the pages
-// point-wise, predicates evaluate scalar-wise on the materialized row, and
-// everything unresolved falls back to the chain walk.
-func (rs *rangeScanner) scanUnsealed(r *updateRange, slot0, nRows int, emit func(slot int, vals []uint64) bool) bool {
+// scanUnsealed handles insert ranges: base values still live in b's
+// table-level tail pages and visibility may need transaction resolution, so
+// clean slots read the pages point-wise, predicates evaluate scalar-wise on
+// the materialized row, and everything unresolved falls back to the chain
+// walk.
+func (rs *rangeScanner) scanUnsealed(r *updateRange, b baseView, slot0, nRows int, emit func(slot int, vals []uint64) bool) bool {
 	sc := rs.sc
 	ts := rs.ts
 	vals := sc.vals
@@ -556,7 +549,7 @@ func (rs *rangeScanner) scanUnsealed(r *updateRange, slot0, nRows int, emit func
 		word := r.updatedBits[wi].Load()
 		for slot := lo; slot < hi; slot++ {
 			if word&(1<<uint(slot&63)) == 0 {
-				raw := r.baseStartSlot(slot)
+				raw := b.startSlot(slot)
 				if raw == types.NullSlot {
 					continue
 				}
@@ -565,7 +558,7 @@ func (rs *rangeScanner) scanUnsealed(r *updateRange, slot0, nRows int, emit func
 						continue
 					}
 					for i, c := range rs.cols {
-						vals[i] = r.baseValue(slot, c)
+						vals[i] = b.value(slot, c)
 					}
 					if filtered && !rs.predsMatch(vals) {
 						continue
@@ -579,7 +572,7 @@ func (rs *rangeScanner) scanUnsealed(r *updateRange, slot0, nRows int, emit func
 				// Unresolved insert: fall through to the chain walk.
 			}
 			rs.slow++
-			res := r.readCols(rs.view, slot, rs.cols, sc.out)
+			res := r.walkChain(rs.view, b, r.loadIndirection(slot), slot, rs.cols, sc.out)
 			if !res.exists {
 				continue
 			}
@@ -606,8 +599,9 @@ func (rs *rangeScanner) scanUnsealed(r *updateRange, slot0, nRows int, emit func
 // walks the readCols chain. cvs is caller scratch (len(cols)); fast reports
 // which side served the probe.
 func (s *Store) probeSlot(ts types.Timestamp, r *updateRange, slot int, cols []int, out []uint64, cvs []*colVersion) (exists, fast bool) {
+	b := r.loadBase()
 	if r.updatedBits[slot>>6].Load()&(1<<uint(slot&63)) == 0 {
-		raw := r.baseStartSlot(slot)
+		raw := b.startSlot(slot)
 		if raw == types.NullSlot {
 			return false, true // aborted insert or never-written slot
 		}
@@ -616,14 +610,14 @@ func (s *Store) probeSlot(ts types.Timestamp, r *updateRange, slot int, cols []i
 				return false, true
 			}
 			for i, c := range cols {
-				out[i] = r.baseValue(slot, c)
+				out[i] = b.value(slot, c)
 			}
 			return true, true
 		}
 		// Unresolved insert: chain walk below.
-	} else if mv := r.meta.Load(); mv != nil {
-		if minTPS, maxTPS, sealed := gatherCols(r, cols, cvs); sealed && mv.tps >= maxTPS {
-			serve, deleted := r.mergedCurrent(ts, slot, mv.startTime.Get(slot), mv.lastUpdated.Get(slot), minTPS)
+	} else if v := b.v; v != nil {
+		if minTPS, maxTPS := gatherCols(v, cols, cvs); v.meta.tps >= maxTPS {
+			serve, deleted := r.mergedCurrent(v, ts, slot, v.meta.startTime.Get(slot), v.meta.lastUpdated.Get(slot), minTPS)
 			if serve {
 				if deleted {
 					return false, true
@@ -635,7 +629,7 @@ func (s *Store) probeSlot(ts types.Timestamp, r *updateRange, slot int, cols []i
 			}
 		}
 	}
-	res := r.readCols(asOfView(ts), slot, cols, out)
+	res := r.walkChain(asOfView(ts), b, r.loadIndirection(slot), slot, cols, out)
 	return res.exists, false
 }
 

@@ -171,19 +171,17 @@ func (s *Store) CompressionStats() CompressionStats {
 	}
 	for i := 0; i < s.rangeCount(); i++ {
 		r := s.rangeAt(i)
-		mv := r.meta.Load()
-		if mv == nil {
+		v := r.version.Load()
+		if v == nil {
 			continue
 		}
 		cs.SealedRanges++
-		for c := range r.cols {
-			if cv := r.cols[c].Load(); cv != nil {
-				tally(cv.data)
-			}
+		for _, cv := range v.cols {
+			tally(cv.data)
 		}
-		tally(mv.startTime)
-		tally(mv.lastUpdated)
-		tally(mv.schemaEnc)
+		tally(v.meta.startTime)
+		tally(v.meta.lastUpdated)
+		tally(v.meta.schemaEnc)
 	}
 	return cs
 }

@@ -280,15 +280,16 @@ func (s *Store) resolveKeyConflict(t *txn.Txn, keySlot uint64, winner, mine type
 	if !ok {
 		return ErrDuplicateKey
 	}
-	raw := loc.rng.baseStartSlot(loc.slot)
-	if raw == types.NullSlot && !loc.rng.sealed.Load() {
+	b := loc.rng.loadBase()
+	raw := b.startSlot(loc.slot)
+	if raw == types.NullSlot && b.v == nil {
 		// The winner reserved the slot but has not published its record yet.
 		return txn.ErrConflict
 	}
 	if raw == t.ID {
 		return ErrDuplicateKey // own earlier insert in this transaction
 	}
-	_, _, st := s.resolveSlot(raw, func() uint64 { return loc.rng.baseStartSlot(loc.slot) })
+	_, _, st := s.resolveSlot(raw, func() uint64 { return b.startSlot(loc.slot) })
 	switch st {
 	case txn.StatusUncommitted, txn.StatusPreCommitted:
 		return txn.ErrConflict
@@ -379,7 +380,7 @@ func (s *Store) writeVersion(t *txn.Txn, loc ridLocation, cols []int, slots []ui
 	// Step 2: the latest version must not belong to a live competing txn.
 	var curStart uint64
 	if ind == 0 {
-		curStart = r.baseStartSlot(slot)
+		curStart = r.loadBase().startSlot(slot)
 	} else if rec, ok := s.loadTailRecord(ind); ok {
 		curStart = rec.startSlot
 	} else {
@@ -427,9 +428,10 @@ func (s *Store) writeVersion(t *txn.Txn, loc ridLocation, cols []int, slots []ui
 	}
 	if snapBits != 0 {
 		snapVals := make(map[int]uint64)
+		b := r.loadBase()
 		for c := 0; c < s.schema.NumCols(); c++ {
 			if snapBits&(1<<uint(c)) != 0 {
-				snapVals[c] = r.baseValue(slot, c)
+				snapVals[c] = b.value(slot, c)
 			}
 		}
 		// The snapshot's Start Time is the preserved version's start time:
@@ -520,12 +522,13 @@ func (s *Store) writeVersion(t *txn.Txn, loc ridLocation, cols []int, slots []ui
 // committed inserts yield the commit time; an own-transaction insert keeps
 // the transaction ID (it resolves at commit).
 func curBaseStart(s *Store, r *updateRange, slot int, t *txn.Txn) uint64 {
-	raw := r.baseStartSlot(slot)
+	b := r.loadBase()
+	raw := b.startSlot(slot)
 	if raw == t.ID {
 		t.NoteWrite()
 		return raw
 	}
-	if _, ts, st := s.resolveSlot(raw, func() uint64 { return r.baseStartSlot(slot) }); st == txn.StatusCommitted {
+	if _, ts, st := s.resolveSlot(raw, func() uint64 { return b.startSlot(slot) }); st == txn.StatusCommitted {
 		return ts
 	}
 	return raw
