@@ -310,7 +310,7 @@ func (s *Store) collectPrefixLocked(r *updateRange, from int64, limit int, out [
 func (s *Store) mergeRange(r *updateRange, col int) int {
 	r.mergeMu.Lock()
 	defer r.mergeMu.Unlock()
-	cur := r.version.Load() // only mergeMu holders publish, so cur stays current
+	cur := r.version.Load() // a sealed range's publishers all hold mergeMu
 	if cur == nil {
 		return 0 // base records must be outside the insert range (§3.2)
 	}
