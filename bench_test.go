@@ -497,6 +497,43 @@ func queryBenchTable(b *testing.B) (*lstore.DB, *lstore.Table, int) {
 	return db, tbl, rows
 }
 
+// BenchmarkInsertIndexedLowCardinality loads 2^17 rows through Insert into a
+// table whose secondary index has 4 values, so each value collects 2^15
+// RIDs. One op is the whole load. ns/row must stay flat as the load grows:
+// an index write whose cost grows with the RIDs already under its value
+// makes the load quadratic. The merger is off so only Insert is timed.
+func BenchmarkInsertIndexedLowCardinality(b *testing.B) {
+	const rows, values, batch = 1 << 17, 4, 1024
+	schema := lstore.NewSchema("id",
+		lstore.Column{Name: "id", Type: lstore.Int64},
+		lstore.Column{Name: "grp", Type: lstore.Int64},
+	)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		db := lstore.Open()
+		tbl, err := db.CreateTable("t", schema, lstore.TableOptions{DisableAutoMerge: true,
+			SecondaryIndexes: []string{"grp"}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k := int64(0); k < rows; k += batch {
+			tx := db.Begin(lstore.ReadCommitted)
+			for j := k; j < k+batch; j++ {
+				if err := tbl.Insert(tx, lstore.Row{"id": lstore.Int(j), "grp": lstore.Int(j % values)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		db.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows*b.N), "ns/row")
+}
+
 // BenchmarkLookupSecondary measures secondary-index probes (Table.FindBy)
 // through the scan engine's point face.
 func BenchmarkLookupSecondary(b *testing.B) {

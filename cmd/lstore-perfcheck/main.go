@@ -1,10 +1,11 @@
-// lstore-perfcheck guards against performance regressions in CI: it parses
+// lstore-perfcheck guards against allocation regressions in CI: it parses
 // `go test -bench` output, compares each benchmark against a committed
-// baseline, and flags any metric that regressed more than the tolerance.
+// baseline, and fails on any allocs/op more than the tolerance above it.
 //
-// Allocation counts are deterministic across machines, so an allocs/op
-// regression always fails. Wall-clock ns/op varies with the host, so ns/op
-// regressions only annotate (GitHub "::warning::" lines) unless -strict.
+// Allocation counts are deterministic across machines; wall-clock ns/op is
+// not (repeated runs of one binary on a shared 2-core host spread up to 2×),
+// so ns/op and its drift from the baseline are printed for information and
+// never judged.
 //
 // Usage:
 //
@@ -85,8 +86,7 @@ func main() {
 	var (
 		baseline  = flag.String("baseline", "PERF_BASELINE.json", "committed baseline to compare against")
 		update    = flag.Bool("update", false, "rewrite the baseline from the input instead of comparing")
-		tolerance = flag.Float64("tolerance", 20, "allowed regression in percent")
-		strict    = flag.Bool("strict", false, "ns/op regressions fail instead of annotating")
+		tolerance = flag.Float64("tolerance", 20, "allowed allocs/op regression in percent")
 		out       = flag.String("out", "", "also write parsed results as JSON to this path")
 	)
 	flag.Parse()
@@ -139,7 +139,7 @@ func main() {
 	sort.Strings(names)
 
 	limit := 1 + *tolerance/100
-	failures, warnings, missing := 0, 0, 0
+	failures, missing := 0, 0
 	for _, name := range names {
 		want := base[name]
 		cur, ok := got[name]
@@ -157,23 +157,11 @@ func main() {
 			failures++
 			continue
 		}
-		if cur.NsOp > want.NsOp*limit {
-			msg := fmt.Sprintf("%s: %.0f ns/op, baseline %.0f (+%.0f%% > %.0f%% tolerance)",
-				name, cur.NsOp, want.NsOp, 100*(cur.NsOp/want.NsOp-1), *tolerance)
-			if *strict {
-				fmt.Printf("FAIL %s\n", msg)
-				failures++
-			} else {
-				fmt.Printf("::warning::perfcheck: %s\n", msg)
-				warnings++
-			}
-			continue
-		}
-		fmt.Printf("ok   %s: %.0f ns/op (baseline %.0f), %s\n",
-			name, cur.NsOp, want.NsOp, allocs(cur))
+		fmt.Printf("ok   %s: %s, %.0f ns/op (baseline %.0f, %+.0f%%)\n",
+			name, allocs(cur), cur.NsOp, want.NsOp, 100*(cur.NsOp/want.NsOp-1))
 	}
-	fmt.Printf("perfcheck: %d compared, %d failed, %d warned, %d missing\n",
-		len(base)-missing, failures, warnings, missing)
+	fmt.Printf("perfcheck: %d compared, %d failed, %d missing\n",
+		len(base)-missing, failures, missing)
 	if failures > 0 {
 		os.Exit(1)
 	}

@@ -2,6 +2,7 @@ package lstore
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"lstore/internal/wal"
@@ -37,10 +38,18 @@ func pageFrameStats(t *testing.T, image []byte) (count int, rowBatches int) {
 
 // TestCheckpointShipsEncodedPages: cold sealed ranges reach the checkpoint
 // as verbatim encoded page frames — not re-expanded rows — restore installs
-// them, and the restored table still serves compressed pages.
+// them, and the restored table still serves compressed pages. With a
+// secondary index on "a", restore re-indexes the installed pages, and index
+// probes answer as they did before the checkpoint.
 func TestCheckpointShipsEncodedPages(t *testing.T) {
+	t.Run("unindexed", func(t *testing.T) { checkpointShipsEncodedPages(t, nil) })
+	t.Run("indexed", func(t *testing.T) { checkpointShipsEncodedPages(t, []string{"a"}) })
+}
+
+func checkpointShipsEncodedPages(t *testing.T, indexes []string) {
+	opts := TableOptions{RangeSize: 64, DisableAutoMerge: true, SecondaryIndexes: indexes}
 	db := Open()
-	tbl, err := db.CreateTable("t", intSchema(), TableOptions{RangeSize: 64, DisableAutoMerge: true})
+	tbl, err := db.CreateTable("t", intSchema(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,6 +71,10 @@ func TestCheckpointShipsEncodedPages(t *testing.T) {
 	mustCommit(t, tx)
 
 	want := tableState(t, tbl, db.Now())
+	wantKeys := keysByA(t, tbl)
+	if !slices.Equal(wantKeys[99], []int64{130}) {
+		t.Fatalf("before checkpoint: a=99 holds keys %v, want [130]", wantKeys[99])
+	}
 	var ckpt bytes.Buffer
 	info, err := db.Checkpoint(&ckpt)
 	if err != nil {
@@ -82,7 +95,7 @@ func TestCheckpointShipsEncodedPages(t *testing.T) {
 
 	db2 := Open()
 	defer db2.Close()
-	tbl2, err := db2.CreateTable("t", intSchema(), TableOptions{RangeSize: 64, DisableAutoMerge: true})
+	tbl2, err := db2.CreateTable("t", intSchema(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,6 +103,11 @@ func TestCheckpointShipsEncodedPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameState(t, want, tableState(t, tbl2, db2.Now()), "restored from page frames")
+	for v, keys := range keysByA(t, tbl2) {
+		if !slices.Equal(keys, wantKeys[v]) {
+			t.Fatalf("restored: a=%d holds keys %v, want %v", v, keys, wantKeys[v])
+		}
+	}
 
 	cs := tbl2.CompressionStats()
 	if cs.SealedRanges < 3 {
@@ -102,6 +120,22 @@ func TestCheckpointShipsEncodedPages(t *testing.T) {
 		t.Fatalf("restored footprint %d words >= logical %d: no compression survived",
 			cs.PhysicalWords, cs.LogicalWords)
 	}
+}
+
+// keysByA returns the sorted keys of Query().Where(Eq("a", v)).Keys() for
+// every value checkpointShipsEncodedPages writes to "a".
+func keysByA(t *testing.T, tbl *Table) map[int64][]int64 {
+	t.Helper()
+	out := map[int64][]int64{}
+	for _, v := range []int64{0, 1, 2, 3, 4, 99} {
+		keys, err := tbl.Query().Where(Eq("a", Int(v))).Keys()
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(keys)
+		out[v] = keys
+	}
+	return out
 }
 
 // TestTornPageFrameFailsRestore: corruption inside a page frame — CRC-level

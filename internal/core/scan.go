@@ -880,8 +880,8 @@ func (s *Store) parallelFiltered(targets []scanTarget, ts types.Timestamp, cols 
 // re-evaluate against the visible version — the probe predicate itself MUST
 // appear in preds, because index entries may be stale (§3.1). cols names
 // the materialized schema columns; preds index positions within cols.
-// Candidates probe in ascending base-RID order, so delivery order matches a
-// bulk scan of the same rows. The vals slice handed to fn is reused.
+// Candidates probe once each in ascending base-RID order, so delivery order
+// matches a bulk scan of the same rows. The vals slice handed to fn is reused.
 func (s *Store) ProbeFiltered(ts types.Timestamp, col int, sv uint64, cols []int, preds []Pred, fn func(vals []uint64) bool) error {
 	sec, ok := s.secondary[col]
 	if !ok {
@@ -893,6 +893,7 @@ func (s *Store) ProbeFiltered(ts types.Timestamp, col int, sv uint64, cols []int
 	sc := rs.sc
 	sc.rids = sec.LookupAppend(sc.rids[:0], sv)
 	slices.Sort(sc.rids)
+	sc.rids = slices.Compact(sc.rids)
 	for _, rid := range sc.rids {
 		loc, ok := s.locate(rid)
 		if !ok {

@@ -156,16 +156,31 @@ func oracleAggStates(flat []int64, stride int, specs []AggSpec) []AggState {
 	return states
 }
 
+// oracleCandidates returns the distinct base RIDs the secondary index on col
+// holds for sv (stale entries included), ascending. The index may hold a
+// pair more than once — Add appends, and a value can return — but a probe
+// visits each record once.
+func oracleCandidates(s *Store, col int, sv uint64) []types.RID {
+	seen := map[types.RID]bool{}
+	var rids []types.RID
+	for _, rid := range s.secondary[col].Lookup(sv) {
+		if !seen[rid] {
+			seen[rid] = true
+			rids = append(rids, rid)
+		}
+	}
+	sort.Slice(rids, func(i, j int) bool { return rids[i] < rids[j] })
+	return rids
+}
+
 // oracleProbeFiltered is the slow-path reference for ProbeFiltered: the same
-// index candidate list (stale entries included), per-slot chain walks, and
-// scalar predicate re-checks, flattened in ascending base-RID order.
+// index candidates, per-slot chain walks, and scalar predicate re-checks,
+// flattened in ascending base-RID order.
 func oracleProbeFiltered(s *Store, ts types.Timestamp, col int, sv uint64, cols []int, preds []Pred) []int64 {
 	view := asOfView(ts)
 	out := make([]uint64, len(cols))
-	rids := s.secondary[col].Lookup(sv)
-	sort.Slice(rids, func(i, j int) bool { return rids[i] < rids[j] })
 	var flat []int64
-	for _, rid := range rids {
+	for _, rid := range oracleCandidates(s, col, sv) {
 		loc, ok := s.locate(rid)
 		if !ok {
 			continue
@@ -197,7 +212,7 @@ func oracleSecondary(s *Store, ts types.Timestamp, col int, sv uint64) []int64 {
 	readCols := []int{col, s.schema.Key}
 	out := make([]uint64, 2)
 	var keys []int64
-	for _, rid := range s.secondary[col].Lookup(sv) {
+	for _, rid := range oracleCandidates(s, col, sv) {
 		loc, ok := s.locate(rid)
 		if !ok {
 			continue

@@ -500,7 +500,8 @@ func (s *Store) writeVersion(t *txn.Txn, loc ridLocation, cols []int, slots []ui
 	atomic.StoreUint64(word, uint64(newRID))
 
 	// Affected secondary indexes gain the new value, still pointing at the
-	// base RID (§3.1); old entries are removed lazily.
+	// base RID (§3.1). The old value's entry stays, stale, and a value that
+	// returns adds its pair again; probes re-check and collapse both.
 	if !isDelete {
 		for i, c := range cols {
 			if sec, ok := s.secondary[c]; ok && slots[i] != types.NullSlot {

@@ -3,11 +3,10 @@
 // eliminates index maintenance on version creation: an update touches only
 // the indexes of changed columns, and even those keep pointing at base RIDs.
 // Readers landing on a base record via an index must re-evaluate the query
-// predicate against the visible version (stale entries are legal; removal of
-// old values is deferred until they fall outside every active snapshot).
+// predicate against the visible version (stale entries are legal).
 //
 // Primary is a unique key → base-RID map; Secondary is a value → base-RID
-// multi-map with deferred deletion. Both are lock-striped hash structures:
+// multi-map that only grows. Both are lock-striped hash structures:
 // point lookups dominate the workloads of §6 and stripes keep writer
 // contention bounded.
 package index
@@ -120,9 +119,10 @@ func (p *Primary) Range(fn func(key uint64, rid types.RID) bool) {
 // ---------------------------------------------------------------------------
 
 // Secondary is a non-unique value → base-RID multi-map. Updating column C of
-// record b from v to v' adds (v', b); the old entry (v, b) stays until
-// CleanupValue is invoked once the change falls outside all active
-// snapshots, so index readers must re-check predicates (§3.1).
+// record b from v to v' adds (v', b) and leaves the old entry (v, b) in
+// place, so index readers must re-check predicates (§3.1). A value that
+// returns (v → v' → v) adds (v, b) again, so probes collapse repeats. Stale
+// and repeated pairs stay until a cleanup pass (not yet built) removes them.
 type Secondary struct {
 	stripes [stripeCount]secondaryStripe
 }
@@ -145,23 +145,20 @@ func (s *Secondary) stripe(v uint64) *secondaryStripe {
 	return &s.stripes[hash64(v)%stripeCount]
 }
 
-// Add appends (value, rid) unless the exact pair is already present.
+// Add appends (value, rid), even when the exact pair is already present:
+// the cost of a write must not grow with the RIDs stored under its value.
 func (s *Secondary) Add(value uint64, rid types.RID) {
 	st := s.stripe(value)
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	for _, r := range st.m[value] {
-		if r == rid {
-			return
-		}
-	}
 	st.m[value] = append(st.m[value], rid)
+	st.mu.Unlock()
 }
 
-// LookupAppend appends the base RIDs whose (possibly stale) entry matches
-// value to dst and returns the extended slice. The copy happens under the
-// stripe read lock, so callers may retain and reuse dst freely — hot probe
-// loops pass a recycled buffer and allocate nothing per probe.
+// LookupAppend appends the base RIDs whose (possibly stale, possibly
+// repeated) entry matches value to dst and returns the extended slice. The
+// copy happens under the stripe read lock, so callers may retain and reuse
+// dst freely — hot probe loops pass a recycled buffer and allocate nothing
+// per probe.
 func (s *Secondary) LookupAppend(dst []types.RID, value uint64) []types.RID {
 	st := s.stripe(value)
 	st.mu.RLock()
@@ -170,14 +167,14 @@ func (s *Secondary) LookupAppend(dst []types.RID, value uint64) []types.RID {
 	return dst
 }
 
-// Lookup returns a copy of the base RIDs whose (possibly stale) entry
-// matches value.
+// Lookup returns a copy of the base RIDs whose (possibly stale, possibly
+// repeated) entry matches value.
 func (s *Secondary) Lookup(value uint64) []types.RID {
 	return s.LookupAppend(make([]types.RID, 0, 4), value)
 }
 
-// Remove deletes the exact (value, rid) pair; used by the deferred cleanup
-// pass once the old value left every active snapshot.
+// Remove deletes one copy of the exact (value, rid) pair, for a cleanup pass
+// that drops pairs no snapshot can see (not yet built; only tests call it).
 func (s *Secondary) Remove(value uint64, rid types.RID) {
 	st := s.stripe(value)
 	st.mu.Lock()

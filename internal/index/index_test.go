@@ -1,6 +1,7 @@
 package index
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -100,19 +101,21 @@ func TestPrimaryConcurrentUniqueness(t *testing.T) {
 	}
 }
 
+// TestSecondaryBasic: Add appends without looking for the pair, so a
+// repeated pair is stored and counted twice; probes collapse repeats.
 func TestSecondaryBasic(t *testing.T) {
 	s := NewSecondary()
 	s.Add(7, 1)
 	s.Add(7, 2)
-	s.Add(7, 1) // duplicate pair ignored
+	s.Add(7, 1) // repeated pair appended, not refused
 	s.Add(9, 3)
-	if got := s.Lookup(7); len(got) != 2 {
+	if got := s.Lookup(7); !slices.Equal(got, []types.RID{1, 2, 1}) {
 		t.Fatalf("Lookup(7) = %v", got)
 	}
 	if got := s.Lookup(404); len(got) != 0 {
 		t.Fatalf("Lookup(404) = %v", got)
 	}
-	if s.Entries() != 3 {
+	if s.Entries() != 4 {
 		t.Fatalf("Entries = %d", s.Entries())
 	}
 }

@@ -2,6 +2,7 @@ package lstore
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -131,6 +132,92 @@ func TestQueryEndToEnd(t *testing.T) {
 	if c, err := tbl.Query().Count(); err != nil || c != 199 {
 		t.Fatalf("bare Count after unmerged delete = %d, err=%v", c, err)
 	}
+}
+
+// TestIndexedValueReturns: the secondary index appends a (value, RID) pair
+// on every write, so a value that returns (A → B → A) leaves the pair in the
+// index twice. Every probe-planned read — FindBy, Keys and Count — must
+// still see each key once, and never under the value it left, both over
+// unmerged tails and over merged base pages.
+func TestIndexedValueReturns(t *testing.T) {
+	db := Open()
+	defer db.Close()
+	tbl, err := db.CreateTable("accounts", NewSchema("id",
+		Column{Name: "id", Type: Int64},
+		Column{Name: "region", Type: Int64},
+	), TableOptions{RangeSize: 64, DisableAutoMerge: true, SecondaryIndexes: []string{"region"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows, regions = 100, 5
+	region := make(map[int64]int64, rows)
+	tx := db.Begin(ReadCommitted)
+	for i := int64(0); i < rows; i++ {
+		region[i] = i % regions
+		if err := tbl.Insert(tx, Row{"id": Int(i), "region": Int(region[i])}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustCommit(t, tx)
+
+	set := func(key, v int64) {
+		t.Helper()
+		tx := db.Begin(ReadCommitted)
+		if err := tbl.Update(tx, key, Row{"region": Int(v)}); err != nil {
+			t.Fatal(err)
+		}
+		mustCommit(t, tx)
+		region[key] = v
+	}
+	check := func(stage string) {
+		t.Helper()
+		ts := db.Now()
+		for v := int64(0); v < regions; v++ {
+			var want []int64
+			for k := int64(0); k < rows; k++ {
+				if region[k] == v {
+					want = append(want, k)
+				}
+			}
+			found, err := tbl.FindBy(ts, "region", Int(v))
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys, err := tbl.Query().Where(Eq("region", Int(v))).At(ts).Keys()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, got := range map[string][]int64{"FindBy": found, "Keys": keys} {
+				slices.Sort(got)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: %s(region=%d) = %v, want %v", stage, name, v, got, want)
+				}
+			}
+			if n, err := tbl.Query().Where(Eq("region", Int(v))).At(ts).Count(); err != nil || n != int64(len(want)) {
+				t.Fatalf("%s: Count(region=%d) = %d (err %v), want %d", stage, v, n, err, len(want))
+			}
+		}
+	}
+
+	// Key 11 goes A → B → A; key 12 goes A → B → A → B.
+	cycle := func(stage string) {
+		t.Helper()
+		a, b := region[11], region[11]+1
+		set(11, b)
+		set(11, a)
+		a, b = region[12], region[12]+1
+		set(12, b)
+		set(12, a)
+		set(12, b)
+		check(stage + ", unmerged")
+		tbl.Merge()
+		check(stage + ", merged")
+	}
+	check("loaded")
+	cycle("first cycle")
+	// Cycle again, from merged base pages: key 11's (1, RID) pair is now in
+	// the index three times.
+	cycle("second cycle")
 }
 
 // ---------------------------------------------------------------------------
