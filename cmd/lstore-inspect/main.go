@@ -1,8 +1,7 @@
 // lstore-inspect runs a short self-contained workload and dumps the
 // storage internals it produced: per-range TPS lineage, tail backlog,
-// merge/compression counters, WAL/checkpoint LSN state and the
-// epoch-reclamation state. It is a window into the lineage architecture
-// rather than a benchmark.
+// merge/compression counters, retired pages and WAL/checkpoint LSN state.
+// It is a window into the lineage architecture rather than a benchmark.
 //
 // With -verify it instead runs an offline integrity scan over a WAL or
 // checkpoint file — frame and CRC verification, last clean commit boundary,
@@ -108,7 +107,7 @@ func main() {
 	fmt.Printf("inserts=%d updates=%d tail-records=%d\n", st.Inserts, st.Updates, st.TailRecords)
 	fmt.Printf("merges=%d merged-tail-records=%d seals=%d\n", st.Merges, st.MergedTailRecords, st.Seals)
 	fmt.Printf("merge-lag: backlog=%d queue-depth=%d workers=%d\n", st.MergeBacklog, st.MergeQueueDepth, st.MergeWorkers)
-	fmt.Printf("pages retired=%d reclaimed=%d\n", st.PagesRetired, st.PagesReclaimed)
+	fmt.Printf("pages retired=%d\n", st.PagesRetired)
 	printPoolGauges(st)
 
 	fmt.Printf("\n== per-range merge lineage (before final merge) ==\n")
@@ -127,7 +126,7 @@ func main() {
 	fmt.Printf("merges=%d merged-tail-records=%d history-passes=%d history-records=%d\n",
 		st.Merges, st.MergedTailRecords, st.HistoryPasses, st.HistoryRecords)
 	fmt.Printf("merge-lag: backlog=%d queue-depth=%d workers=%d\n", st.MergeBacklog, st.MergeQueueDepth, st.MergeWorkers)
-	fmt.Printf("pages retired=%d reclaimed=%d\n", st.PagesRetired, st.PagesReclaimed)
+	fmt.Printf("pages retired=%d\n", st.PagesRetired)
 	printPoolGauges(st)
 
 	// Durability state: log growth, then a checkpoint and the truncation it

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"lstore/internal/core"
-	"lstore/internal/epoch"
 	"lstore/internal/fault"
 	"lstore/internal/txn"
 	"lstore/internal/wal"
@@ -24,10 +23,9 @@ var (
 )
 
 // DB is a collection of tables sharing one transaction manager (one logical
-// clock) and one epoch manager. All methods are safe for concurrent use.
+// clock). All methods are safe for concurrent use.
 type DB struct {
 	tm *txn.Manager
-	em *epoch.Manager
 
 	mu     sync.RWMutex
 	tables map[string]*Table // guarded by mu
@@ -181,7 +179,6 @@ func (db *DB) FlushWAL() error {
 func Open(opts ...Option) *DB {
 	db := &DB{
 		tm:     txn.NewManager(),
-		em:     epoch.NewManager(),
 		tables: make(map[string]*Table),
 		txnLog: make(map[uint64]txnLSNs),
 	}
@@ -263,7 +260,7 @@ func (db *DB) CreateTable(name string, schema Schema, opts ...TableOptions) (*Ta
 	if _, dup := db.tables[name]; dup {
 		return nil, fmt.Errorf("lstore: table %q exists", name)
 	}
-	store, err := core.NewStore(schema.inner, cfg, db.tm, db.em)
+	store, err := core.NewStore(schema.inner, cfg, db.tm)
 	if err != nil {
 		return nil, err
 	}

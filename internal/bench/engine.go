@@ -75,7 +75,7 @@ func NewLStore(ncols int, o LStoreOptions) (*LStoreEngine, error) {
 	if o.RowLayout {
 		cfg.Layout = core.RowLayout
 	}
-	s, err := core.NewStore(schema, cfg, nil, nil)
+	s, err := core.NewStore(schema, cfg, nil)
 	if err != nil {
 		return nil, err
 	}

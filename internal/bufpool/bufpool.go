@@ -297,9 +297,10 @@ func (h *Handle) Unpin() {
 // Release retires the handle when its page version is unpublished (the merge
 // swapped in a successor, or the range was retired). Current pins stay
 // valid; once the last one drops, the page leaves the budget. A Release'd
-// handle can still be pinned by late epoch readers — the spill file is
-// append-only, so the descriptor never dangles — but such reloads bypass the
-// budget (they are bounded by the epoch grace window).
+// handle can still be pinned by readers that loaded its version before the
+// swap — the spill file is append-only, so the descriptor never dangles —
+// but such reloads bypass the budget (they last only as long as those
+// readers).
 func (h *Handle) Release() {
 	if h.pool == nil {
 		return
@@ -364,8 +365,8 @@ func (p *Pool) load(h *Handle) (page.Reader, error) {
 	// Install and charge under one pool-lock hold (pool.mu > h.mu is the
 	// sweep's edge too), so the sweep can never see the page resident but
 	// missing from the ring. The new pin keeps h itself safe from the
-	// eviction pass triggered here. Retired handles (late epoch readers)
-	// stay off the ring and outside the budget; their page drops at final
+	// eviction pass triggered here. Retired handles (late readers of an old
+	// version) stay off the ring and outside the budget; their page drops at final
 	// Unpin.
 	p.mu.Lock()
 	h.mu.Lock()

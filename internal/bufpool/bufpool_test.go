@@ -155,7 +155,7 @@ func TestReleaseDropsPage(t *testing.T) {
 	if after >= before {
 		t.Fatalf("Release did not free bytes: before=%d after=%d", before, after)
 	}
-	// Late readers (epoch grace window) can still pin a released handle.
+	// Late readers of an old version can still pin a released handle.
 	if h.Get(5) != testPage(256, 9).Get(5) {
 		t.Fatal("released handle unreadable")
 	}

@@ -11,8 +11,8 @@ import (
 // merged base pages are appended in their page.MarshalEncoded form and read
 // back on a pool miss. The file is strictly append-only — a descriptor, once
 // handed out, names immutable bytes forever — which is what lets checkpoint
-// images reference spilled pages by descriptor and lets late epoch readers
-// re-pin a page whose in-memory version was already retired.
+// images reference spilled pages by descriptor and lets late readers of an
+// old version re-pin a page whose in-memory copy was already retired.
 
 // Desc locates one spilled page frame: the byte range holding its
 // page.MarshalEncoded payload and the payload's CRC. A descriptor is

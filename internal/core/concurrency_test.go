@@ -25,7 +25,7 @@ func TestConcurrentWritersWithMergeAndScans(t *testing.T) {
 		CumulativeUpdates: true,
 		AutoMerge:         true,
 	}
-	s, err := NewStore(testSchema(), cfg, nil, nil)
+	s, err := NewStore(testSchema(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestQuickCheckRandomOpSequences(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := Config{RangeSize: 32, TailBlockSize: 16, MergeBatch: 8, CumulativeUpdates: seed%2 == 0}
-		s, err := NewStore(testSchema(), cfg, nil, nil)
+		s, err := NewStore(testSchema(), cfg, nil)
 		if err != nil {
 			return false
 		}

@@ -18,7 +18,8 @@
 //
 // The merge process (merge.go) lazily consolidates committed tail records
 // into new base versions without ever blocking readers or writers; outdated
-// pages are retired through epoch-based de-allocation.
+// pages stay reachable from the readers that loaded them and are freed by
+// Go's GC after the last one.
 package core
 
 import (

@@ -33,7 +33,7 @@ func testConfig() Config {
 
 func newTestStore(t *testing.T, cfg Config) *Store {
 	t.Helper()
-	s, err := NewStore(testSchema(), cfg, nil, nil)
+	s, err := NewStore(testSchema(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestStringColumnsDictionaryEncoded(t *testing.T) {
 		},
 		Key: 0,
 	}
-	s, err := NewStore(schema, testConfig(), nil, nil)
+	s, err := NewStore(schema, testConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -623,19 +623,19 @@ func TestSpeculativeReadSeesPreCommit(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	_, err := NewStore(testSchema(), Config{RangeSize: 100}, nil, nil)
+	_, err := NewStore(testSchema(), Config{RangeSize: 100}, nil)
 	if err == nil {
 		t.Fatal("non-power-of-two RangeSize accepted")
 	}
-	_, err = NewStore(testSchema(), Config{RangeSize: 64, TailBlockSize: 48}, nil, nil)
+	_, err = NewStore(testSchema(), Config{RangeSize: 64, TailBlockSize: 48}, nil)
 	if err == nil {
 		t.Fatal("non-dividing TailBlockSize accepted")
 	}
-	_, err = NewStore(types.Schema{}, Config{}, nil, nil)
+	_, err = NewStore(types.Schema{}, Config{}, nil)
 	if err == nil {
 		t.Fatal("empty schema accepted")
 	}
-	_, err = NewStore(testSchema(), Config{SecondaryIndexColumns: []int{9}}, nil, nil)
+	_, err = NewStore(testSchema(), Config{SecondaryIndexColumns: []int{9}}, nil)
 	if err == nil {
 		t.Fatal("bad secondary column accepted")
 	}

@@ -13,7 +13,7 @@ import (
 // second merge, historic compression, more updates + merge again).
 func TestSnapshotConsistencyAcrossLifecycle(t *testing.T) {
 	cfg := Config{RangeSize: 64, TailBlockSize: 16, MergeBatch: 8, CumulativeUpdates: true}
-	s, err := NewStore(testSchema(), cfg, nil, nil)
+	s, err := NewStore(testSchema(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestSnapshotConsistencyAcrossLifecycle(t *testing.T) {
 // accumulate versions without losing earlier ones.
 func TestMultiPassHistoryCompression(t *testing.T) {
 	cfg := Config{RangeSize: 32, TailBlockSize: 8, MergeBatch: 4, CumulativeUpdates: true}
-	s, err := NewStore(testSchema(), cfg, nil, nil)
+	s, err := NewStore(testSchema(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

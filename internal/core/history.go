@@ -10,12 +10,12 @@ import (
 // that every column's merge has consumed (and thus fall below every TPS) are
 // re-organized by base-RID order with each record's versions inlined
 // contiguously and delta-compressed; the original tail blocks are then
-// retired through the epoch manager and their page-directory entries
-// dropped. Snapshot (time-travel) reads that walk a version chain across the
-// compression boundary switch to the history store — readers of non-historic
-// data never touch it (latest-mode reads stop at the TPS watermark, which is
-// always at or above the compression boundary), so compression never clashes
-// with the OLTP path.
+// dropped from the range's block list, and Go's GC frees them once the last
+// walk that captured the old list is done. Snapshot (time-travel) reads that
+// walk a version chain across the compression boundary switch to the history
+// store — readers of non-historic data never touch it (latest-mode reads stop
+// at the TPS watermark, which is always at or above the compression
+// boundary), so compression never clashes with the OLTP path.
 
 // historyStore holds one range's compressed historic versions.
 type historyStore struct {
@@ -132,7 +132,6 @@ func (s *Store) CompressHistory() int {
 	for i := 0; i < s.rangeCount(); i++ {
 		total += s.compressRangeHistory(s.rangeAt(i))
 	}
-	s.em.TryReclaim()
 	return total
 }
 
@@ -202,29 +201,22 @@ func (s *Store) compressRangeHistory(r *updateRange) int {
 		recs[slot] = &histRecord{blob: encodeHist(versions, ncols)}
 	}
 	// Publish the store before the boundary so readers crossing histUpto
-	// always find their versions.
+	// always find their versions, and the boundary before the block list
+	// that drops the blocks (walkChain relies on this order).
 	r.hist.Store(&historyStore{upto: upto, recs: recs})
 	r.histUpto.Store(uint64(upto))
 
 	// Retire the original blocks: nil them in the block list (new slice,
-	// swapped under tmu to serialize with appendTail's rollover) and drop
-	// their page-directory entries once pinned readers drain.
+	// swapped under tmu to serialize with appendTail's rollover).
 	r.tmu.Lock()
 	cur := *r.tailBlocks.Load()
 	next := make([]*tailBlock, len(cur))
 	copy(next, cur)
 	for bi := r.histBlocks; bi < targetBlocks; bi++ {
-		b := next[bi]
-		next[bi] = nil
-		if b == nil {
-			continue
+		if next[bi] != nil {
+			next[bi] = nil
+			s.stats.PagesRetired.Add(1)
 		}
-		key := uint64(b.rids.First-types.TailRIDBase) / uint64(s.cfg.TailBlockSize)
-		s.em.Retire(func() {
-			s.tailDir.Delete(key)
-			s.stats.PagesReclaimed.Add(1)
-		})
-		s.stats.PagesRetired.Add(1)
 	}
 	r.tailBlocks.Store(&next)
 	r.tmu.Unlock()

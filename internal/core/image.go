@@ -67,8 +67,6 @@ func (s *Store) ColdRangeImages(ts types.Timestamp) []RangeImage {
 			return nil // string slots are codes into the store's dictionary
 		}
 	}
-	g := s.em.Pin()
-	defer g.Unpin()
 	var out []RangeImage
 	for i := 0; i < s.rangeCount(); i++ {
 		r := s.rangeAt(i)
@@ -301,8 +299,6 @@ func (s *Store) ColdRangeRefs(ts types.Timestamp) []RangeRef {
 			return nil // spilled codes are meaningless without this store's dict
 		}
 	}
-	g := s.em.Pin()
-	defer g.Unpin()
 	var out []RangeRef
 	for i := 0; i < s.rangeCount(); i++ {
 		r := s.rangeAt(i)

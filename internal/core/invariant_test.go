@@ -66,7 +66,7 @@ func TestInvariantTailPagesWriteOnce(t *testing.T) {
 	}
 	idx := 0
 	for _, b := range blocks {
-		for i := 0; i < len(before) && b.rids.Contains(b.rids.First+types.RID(i)); i++ {
+		for i := 0; i < len(before) && i < b.rids.N; i++ {
 			if idx >= len(before) {
 				break
 			}
@@ -159,7 +159,7 @@ func TestInvariantMergeIdempotentUnderRandomSchedules(t *testing.T) {
 		run := func(withMerges bool) map[int64][3]int64 {
 			r := rand.New(rand.NewSource(seed + 1000)) // same op stream
 			cfg := Config{RangeSize: 32, TailBlockSize: 8, MergeBatch: 4, CumulativeUpdates: true}
-			s, _ := NewStore(testSchema(), cfg, nil, nil)
+			s, _ := NewStore(testSchema(), cfg, nil)
 			defer s.Close()
 			tx := s.tm.Begin(txn.ReadCommitted)
 			for i := int64(0); i < 32; i++ {

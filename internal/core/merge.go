@@ -19,7 +19,9 @@ import (
 //     in a reverse scan (Algorithm 1), skipping pre-image snapshot records
 //     and aborted tombstones,
 //  4. swaps the range's version pointer (the only foreground action),
-//  5. retires the outdated pages through the epoch manager.
+//  5. releases the outdated pages' buffer-pool handles. Readers that loaded
+//     the old version keep its pages reachable, and Go's GC frees them once
+//     the last such reader is done (Figure 6's grace period).
 //
 // The Indirection column is never read or written by the merge; writers keep
 // appending and readers keep reading throughout. TPS — the RID of the last
@@ -72,7 +74,6 @@ func (s *Store) mergeWorker() {
 			s.TrySeal(r)
 		}
 		s.mergeRange(r, -1)
-		s.em.TryReclaim()
 		// Forget finished transactions whose Start Time slots have all been
 		// lazily swapped (§5.1.1's transaction-manager hashtable hygiene).
 		s.tm.Sweep()
@@ -215,7 +216,6 @@ func (s *Store) sealLocked(r *updateRange, ib *tailBlock) bool {
 	// Step 5 for table-level tail pages: unlike regular tail pages they are
 	// discarded permanently once pre-seal readers drain (§4.1).
 	r.insertBlock.Store(nil)
-	s.em.Retire(func() { s.stats.PagesReclaimed.Add(1) })
 	s.stats.Seals.Add(1)
 	return true
 }
@@ -504,12 +504,10 @@ func (s *Store) mergeRange(r *updateRange, col int) int {
 	return len(prefix)
 }
 
-// retireVersion hands the column versions that old owned and next replaced
-// to the epoch manager (Figure 6, §4.1 step 5), and releases every page
-// handle next no longer shares (epoch readers keep their pins; spill keeps
-// the bytes). The callback is bookkeeping: Go's GC performs the actual free
-// once the last pinned reader drops its reference, which the epoch protocol
-// guarantees has happened.
+// retireVersion releases every page handle of old that next no longer
+// shares (§4.1 step 5, Figure 6) and counts the column versions it
+// replaced. Readers that still hold old keep their pins, late ones reload
+// spilled bytes, and Go's GC frees the pages once the last reference drops.
 func (s *Store) retireVersion(old, next *rangeVersion) {
 	for c := range old.cols {
 		if old.cols[c] == next.cols[c] {
@@ -519,7 +517,6 @@ func (s *Store) retireVersion(old, next *rangeVersion) {
 			old.cols[c].data.Release()
 		}
 		s.stats.PagesRetired.Add(1)
-		s.em.Retire(func() { s.stats.PagesReclaimed.Add(1) })
 	}
 	if old.meta.lastUpdated != next.meta.lastUpdated {
 		old.meta.lastUpdated.Release()
@@ -544,7 +541,6 @@ func (s *Store) ForceMerge() int {
 			}
 		}
 	}
-	s.em.TryReclaim()
 	return total
 }
 

@@ -15,7 +15,7 @@ func benchMergeCycle(tb testing.TB) func(round int) {
 	cfg.RangeSize = 256
 	cfg.TailBlockSize = 64
 	cfg.MergeBatch = 64
-	s, err := NewStore(testSchema(), cfg, nil, nil)
+	s, err := NewStore(testSchema(), cfg, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -221,8 +221,8 @@ func TestMergeAppliesDeleteTombstones(t *testing.T) {
 }
 
 // TestReadColsTearsAcrossDeleteMerge replays the snapshot-read tear in one
-// run: a reader captures its base state and then the indirection word (the
-// readCols load step), a delete of the row is appended, committed and
+// run: a reader captures its base state, the indirection word and the block
+// list (the readCols load step), a delete of the row is appended, committed and
 // merged, and only then does the reader walk — at a snapshot before the
 // delete. The row must still be there with its real key. A walk that fell
 // back to the CURRENT version's pages would read the merged delete's ∅.
@@ -234,6 +234,7 @@ func TestReadColsTearsAcrossDeleteMerge(t *testing.T) {
 	ts := s.tm.Now()
 	b := r.loadBase()
 	ind := r.loadIndirection(slot)
+	tails := *r.tailBlocks.Load()
 
 	mustCommit(t, s, func(tx *txn.Txn) {
 		if err := s.Delete(tx, slot); err != nil {
@@ -246,7 +247,7 @@ func TestReadColsTearsAcrossDeleteMerge(t *testing.T) {
 	}
 
 	out := make([]uint64, 2)
-	res := r.walkChain(asOfView(ts), b, ind, slot, []int{0, 1}, out)
+	res := r.walkChain(asOfView(ts), b, ind, tails, slot, []int{0, 1}, out)
 	if !res.exists {
 		t.Fatal("row missing at a snapshot before its delete")
 	}
@@ -339,35 +340,6 @@ func TestIndependentColumnMergeAndTPSMismatch(t *testing.T) {
 		if cv.data.Get(i) != types.EncodeInt64(300+int64(i)) {
 			t.Fatalf("C[%d] merged wrong", i)
 		}
-	}
-}
-
-func TestMergeRetiresPagesThroughEpochs(t *testing.T) {
-	s := newTestStore(t, testConfig())
-	fillRange(t, s, 64)
-	mustCommit(t, s, func(tx *txn.Txn) {
-		for i := int64(0); i < 10; i++ {
-			if err := s.Update(tx, i, []int{1}, []types.Value{types.IntValue(i)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-	// Pin a reader epoch, then merge: retired pages must stay pending.
-	g := s.em.Pin()
-	r := s.rangeAt(0)
-	s.mergeRange(r, -1)
-	if s.em.Pending() == 0 {
-		t.Fatal("merge retired nothing")
-	}
-	reclaimedBefore := s.Stats().PagesReclaimed
-	s.em.TryReclaim()
-	if s.Stats().PagesReclaimed != reclaimedBefore {
-		t.Fatal("pages reclaimed while a reader epoch was pinned")
-	}
-	g.Unpin()
-	s.em.TryReclaim()
-	if s.Stats().PagesReclaimed == reclaimedBefore {
-		t.Fatal("pages not reclaimed after readers drained")
 	}
 }
 

@@ -19,7 +19,7 @@ func replayTPSOpStream(t *testing.T, seed int64) bool {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	cfg := Config{RangeSize: 32, TailBlockSize: 8, MergeBatch: 4, CumulativeUpdates: true}
-	s, err := NewStore(testSchema(), cfg, nil, nil)
+	s, err := NewStore(testSchema(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestInvariantMixedMergeSchedulesMatchOracle(t *testing.T) {
 			r := rand.New(rand.NewSource(seed + 7777)) // op stream: same both runs
 			mr := rand.New(rand.NewSource(seed))       // merge schedule
 			cfg := Config{RangeSize: 32, TailBlockSize: 8, MergeBatch: 4, CumulativeUpdates: false}
-			s, err := NewStore(testSchema(), cfg, nil, nil)
+			s, err := NewStore(testSchema(), cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +187,7 @@ func TestInvariantTPSMonotoneUnderMergePool(t *testing.T) {
 		RangeSize: 64, TailBlockSize: 8, MergeBatch: 8,
 		CumulativeUpdates: true, AutoMerge: true, MergeWorkers: 4,
 	}
-	s, err := NewStore(testSchema(), cfg, nil, nil)
+	s, err := NewStore(testSchema(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func paperStore(t *testing.T, cumulative bool) *Store {
 		MergeBatch:        4,
 		CumulativeUpdates: cumulative,
 	}
-	s, err := NewStore(testSchema(), cfg, nil, nil)
+	s, err := NewStore(testSchema(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +85,8 @@ func TestPaperTable2UpdateDeleteSequence(t *testing.T) {
 	if ind == 0 {
 		t.Fatal("k2 indirection still ⊥")
 	}
-	rec, ok := s.loadTailRecord(ind)
-	if !ok {
-		t.Fatal("k2's newest version unreadable")
-	}
+	tails := *loc.rng.tailBlocks.Load()
+	rec := loc.rng.tailRecord(tails, ind)
 	if a, ok := rec.value(1); !ok || a != types.EncodeInt64(212) {
 		t.Fatalf("newest version A = (%d,%v), want cumulative a22", a, ok)
 	}
@@ -97,10 +95,7 @@ func TestPaperTable2UpdateDeleteSequence(t *testing.T) {
 	}
 	// Its back pointer leads to the pre-image of C whose Schema Encoding
 	// carries the snapshot flag (the asterisk of Table 2).
-	pre, ok := s.loadTailRecord(rec.back)
-	if !ok {
-		t.Fatal("pre-image missing")
-	}
+	pre := loc.rng.tailRecord(tails, rec.back)
 	if pre.enc&types.SchemaSnapshotFlag == 0 {
 		t.Fatalf("expected snapshot-flagged pre-image, enc=%b", pre.enc)
 	}
@@ -126,7 +121,7 @@ func TestPaperTable2UpdateDeleteSequence(t *testing.T) {
 // follows the regular update path.
 func TestPaperTable3InsertWithConcurrentUpdates(t *testing.T) {
 	cfg := Config{RangeSize: 16, TailBlockSize: 16, MergeBatch: 4, CumulativeUpdates: true}
-	s, err := NewStore(testSchema(), cfg, nil, nil)
+	s, err := NewStore(testSchema(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,8 +324,9 @@ func TestPaperTable6HistoricCompression(t *testing.T) {
 	if s.HistoryRecords(0) == 0 {
 		t.Fatal("no records in history store")
 	}
-	// The first tail block's directory entry is gone after reclamation.
-	s.em.TryReclaim()
+	if (*r.tailBlocks.Load())[0] != nil {
+		t.Fatal("the compacted first tail block is still in the block list")
+	}
 
 	// Time travel across the compression boundary: every intermediate
 	// version of k2 is still reachable (version inlining preserves them).

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"lstore/internal/bufpool"
+	"lstore/internal/rid"
 	"lstore/internal/txn"
 	"lstore/internal/types"
 )
@@ -82,7 +83,10 @@ type updateRange struct {
 
 	// Update-tail storage. tailBlocks is the ordered list of this range's
 	// tail blocks; appended under tmu. The flattened sequence of records
-	// across blocks is the range's tail-record order used by merge.
+	// across blocks is the range's tail-record order used by merge. Block bi
+	// holds the RIDs span.BlockFirst(bi) onward, so a chain hop finds its
+	// block in the list by arithmetic.
+	span       rid.TailSpan
 	tmu        sync.Mutex
 	tailBlocks atomic.Pointer[[]*tailBlock]
 	cur        *tailBlock // guarded by tmu for rollover; Take itself is lock-free
@@ -100,14 +104,14 @@ type updateRange struct {
 	inQueue     atomic.Bool
 
 	// Historic compression state (§4.3): tail records with RID <= histUpto
-	// live in hist, and their blocks have been retired. histBlocks counts
-	// compressed blocks (guarded by mergeMu).
+	// live in hist, and their blocks are nil in tailBlocks. histBlocks
+	// counts compressed blocks (guarded by mergeMu).
 	hist       atomic.Pointer[historyStore]
 	histUpto   atomic.Uint64
 	histBlocks int64 // guarded by mergeMu
 }
 
-func newUpdateRange(s *Store, idx int, firstRID types.RID, n int) (*updateRange, error) {
+func newUpdateRange(s *Store, idx int, firstRID types.RID, n int) *updateRange {
 	r := &updateRange{
 		store:       s,
 		idx:         idx,
@@ -117,17 +121,14 @@ func newUpdateRange(s *Store, idx int, firstRID types.RID, n int) (*updateRange,
 		everUpdated: make([]atomic.Uint64, n),
 		updatedBits: make([]atomic.Uint64, (n+63)/64),
 		lineage:     newMergeLineage(s.schema.NumCols()),
+		span:        rid.NewTailSpan(idx, n, s.cfg.TailBlockSize),
 	}
 	empty := []*tailBlock{}
 	r.tailBlocks.Store(&empty)
 	// The insert range's table-level tail block: all columns materialized
 	// eagerly (§3.2: "we allocate tail pages for all columns").
-	first, err := s.tailAlloc.ReserveBlock(n)
-	if err != nil {
-		return nil, err
-	}
-	r.insertBlock.Store(newTailBlock(first, n, s.schema.NumCols(), true))
-	return r, nil
+	r.insertBlock.Store(newTailBlock(r.span.InsertFirst(), n, s.schema.NumCols(), true))
+	return r
 }
 
 // rowCount returns the number of base records allocated so far.
@@ -348,14 +349,32 @@ type readResult struct {
 // publishes after that load consumed only records the walk reaches, so the
 // chain-exhausted values below are the base record's own.
 func (r *updateRange) readCols(view readView, slot int, cols []int, out []uint64) readResult {
-	b := r.loadBase()
-	ind := r.loadIndirection(slot)
-	return r.walkChain(view, b, ind, slot, cols, out)
+	return r.walkSlot(view, r.loadBase(), slot, cols, out)
 }
 
-// walkChain is readCols' walk over a captured base state b and indirection
-// word ind (b must have been loaded first).
-func (r *updateRange) walkChain(view readView, b baseView, ind types.RID, slot int, cols []int, out []uint64) readResult {
+// walkSlot walks slot's chain over a captured base state b: it loads the
+// indirection word, then the block list, in the order walkChain needs.
+func (r *updateRange) walkSlot(view readView, b baseView, slot int, cols []int, out []uint64) readResult {
+	ind := r.loadIndirection(slot)
+	return r.walkChain(view, b, ind, *r.tailBlocks.Load(), slot, cols, out)
+}
+
+// walkChain is readCols' walk over a captured base state b, indirection word
+// ind and block list tails, loaded in that order. Every hop finds its block
+// in tails, and the order makes that lookup total:
+//
+//   - tails is loaded after ind, so it covers every block appendTail
+//     published before the indirection store the walk saw, and with it
+//     every record on the chain;
+//   - tails is loaded before the walk's first histUpto load.
+//     compressRangeHistory stores hist, then histUpto, then the list with
+//     the compacted blocks nil'd, so a walk whose tails lacks a block also
+//     sees the histUpto that covers it, and turns to the history store.
+//
+// A hop that misses anyway is a broken chain and panics; it is never read
+// as an absent version. A compaction after the load does not strand the
+// walk either: the captured list keeps the blocks it names alive.
+func (r *updateRange) walkChain(view readView, b baseView, ind types.RID, tails []*tailBlock, slot int, cols []int, out []uint64) readResult {
 	s := r.store
 	res := readResult{}
 	var need uint64
@@ -396,10 +415,7 @@ func (r *updateRange) walkChain(view readView, b baseView, ind types.RID, slot i
 			// Remainder of the chain was re-organized into the history store.
 			return r.readFromHistory(view, b, slot, cols, out, need, decided, res)
 		}
-		rec, ok := s.loadTailRecord(cur)
-		if !ok {
-			break // unpublished slot: treat as absent version
-		}
+		rec := r.tailRecord(tails, cur)
 		res.hops++
 		if s.visible(view, &rec) {
 			if !decided {

@@ -512,7 +512,7 @@ func (rs *rangeScanner) scanRange(r *updateRange, slot0, nRows int, emit func(sl
 			// re-evaluate against the walk's output (the page value may be
 			// stale for this slot).
 			rs.slow++
-			res := r.walkChain(rs.view, b, r.loadIndirection(slot), slot, rs.cols, sc.out)
+			res := r.walkSlot(rs.view, b, slot, rs.cols, sc.out)
 			if !res.exists {
 				continue
 			}
@@ -572,7 +572,7 @@ func (rs *rangeScanner) scanUnsealed(r *updateRange, b baseView, slot0, nRows in
 				// Unresolved insert: fall through to the chain walk.
 			}
 			rs.slow++
-			res := r.walkChain(rs.view, b, r.loadIndirection(slot), slot, rs.cols, sc.out)
+			res := r.walkSlot(rs.view, b, slot, rs.cols, sc.out)
 			if !res.exists {
 				continue
 			}
@@ -629,7 +629,7 @@ func (s *Store) probeSlot(ts types.Timestamp, r *updateRange, slot int, cols []i
 			}
 		}
 	}
-	res := r.walkChain(asOfView(ts), b, r.loadIndirection(slot), slot, cols, out)
+	res := r.walkSlot(asOfView(ts), b, slot, cols, out)
 	return res.exists, false
 }
 
@@ -710,8 +710,6 @@ func (s *Store) ScanSumRIDs(ts types.Timestamp, col int, loRID, hiRID types.RID)
 // integer arithmetic after the pool drains, so the result is identical for
 // every schedule.
 func (s *Store) ScanAggregate(ts types.Timestamp, cols []int, preds []Pred, specs []AggSpec, loRID, hiRID types.RID) []AggState {
-	g := s.em.Pin()
-	defer g.Unpin()
 	targets := s.scanTargets(loRID, hiRID)
 	states := make([]AggState, len(specs))
 	if workers := s.scanWorkersFor(len(targets)); workers > 1 {
@@ -732,7 +730,7 @@ func (s *Store) ScanAggregate(ts types.Timestamp, cols []int, preds []Pred, spec
 
 // parallelAggregate fans targets out across workers. Each worker owns a
 // scanner (its own pooled scratch) and partial aggregate states; partials
-// merge once the pool drains. The caller's epoch pin covers every worker.
+// merge once the pool drains.
 func (s *Store) parallelAggregate(targets []scanTarget, ts types.Timestamp, cols []int, preds []Pred, specs []AggSpec, states []AggState, workers int) {
 	var next atomic.Int64
 	partials := make([][]AggState, workers)
@@ -773,8 +771,6 @@ func (s *Store) parallelAggregate(targets []scanTarget, ts types.Timestamp, cols
 // are staged), but fn still runs only on the calling goroutine and observes
 // exactly the sequential row order.
 func (s *Store) ScanFiltered(ts types.Timestamp, cols []int, preds []Pred, loRID, hiRID types.RID, fn func(vals []uint64) bool) {
-	g := s.em.Pin()
-	defer g.Unpin()
 	targets := s.scanTargets(loRID, hiRID)
 	// Zero-width rows cannot ride the flat staging buffers (stride 0), so
 	// existence-only scans stay sequential.
@@ -887,8 +883,6 @@ func (s *Store) ProbeFiltered(ts types.Timestamp, col int, sv uint64, cols []int
 	if !ok {
 		return fmt.Errorf("%w on column %d", ErrNoIndex, col)
 	}
-	g := s.em.Pin()
-	defer g.Unpin()
 	rs := newRangeScanner(s, ts, cols, preds) // sizes pooled scratch to len(cols)
 	sc := rs.sc
 	sc.rids = sec.LookupAppend(sc.rids[:0], sv)

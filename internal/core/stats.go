@@ -24,7 +24,6 @@ type Stats struct {
 	MergedTailRecords atomic.Uint64
 	Seals             atomic.Uint64
 	PagesRetired      atomic.Uint64
-	PagesReclaimed    atomic.Uint64
 	HistoryPasses     atomic.Uint64
 	HistoryRecords    atomic.Uint64
 	SpillErrors       atomic.Uint64 // spill appends that failed (page stayed resident)
@@ -58,7 +57,6 @@ type StatsSnapshot struct {
 	MergedTailRecords uint64
 	Seals             uint64
 	PagesRetired      uint64
-	PagesReclaimed    uint64
 	HistoryPasses     uint64
 	HistoryRecords    uint64
 
@@ -98,7 +96,6 @@ func (s *Store) Stats() StatsSnapshot {
 		MergedTailRecords: s.stats.MergedTailRecords.Load(),
 		Seals:             s.stats.Seals.Load(),
 		PagesRetired:      s.stats.PagesRetired.Load(),
-		PagesReclaimed:    s.stats.PagesReclaimed.Load(),
 		HistoryPasses:     s.stats.HistoryPasses.Load(),
 		HistoryRecords:    s.stats.HistoryRecords.Load(),
 		MergeQueueDepth:   len(s.mergeQ),
@@ -150,8 +147,6 @@ func (cs CompressionStats) Ratio() float64 {
 // CompressionStats walks every sealed range's current page versions.
 func (s *Store) CompressionStats() CompressionStats {
 	var cs CompressionStats
-	g := s.em.Pin()
-	defer g.Unpin()
 	tally := func(p page.Reader) {
 		if p == nil {
 			return

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"lstore/internal/bufpool"
-	"lstore/internal/epoch"
 	"lstore/internal/index"
 	"lstore/internal/pagedir"
 	"lstore/internal/rid"
@@ -20,14 +19,8 @@ type Store struct {
 	cfg    Config
 	schema types.Schema
 	tm     *txn.Manager
-	em     *epoch.Manager
 
 	baseAlloc *rid.BaseAllocator
-	tailAlloc *rid.TailAllocator
-
-	// tailDir is the page directory for update-tail blocks, keyed by
-	// (firstRID - TailRIDBase) / TailBlockSize.
-	tailDir *pagedir.Directory[*tailBlock]
 
 	// Beyond-RAM base storage (nil without Config.Spill): pool is the
 	// pinnable buffer pool over the spill sink, and spillDir is the page
@@ -53,9 +46,9 @@ type Store struct {
 	stats Stats
 }
 
-// NewStore creates a table with the given schema over shared transaction and
-// epoch managers (a database holds one of each across its tables).
-func NewStore(schema types.Schema, cfg Config, tm *txn.Manager, em *epoch.Manager) (*Store, error) {
+// NewStore creates a table with the given schema over a shared transaction
+// manager (a database holds one across its tables).
+func NewStore(schema types.Schema, cfg Config, tm *txn.Manager) (*Store, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err
 	}
@@ -69,17 +62,11 @@ func NewStore(schema types.Schema, cfg Config, tm *txn.Manager, em *epoch.Manage
 	if tm == nil {
 		tm = txn.NewManager()
 	}
-	if em == nil {
-		em = epoch.NewManager()
-	}
 	s := &Store{
 		cfg:       cfg,
 		schema:    schema,
 		tm:        tm,
-		em:        em,
 		baseAlloc: rid.NewBaseAllocator(),
-		tailAlloc: rid.NewTailAllocator(),
-		tailDir:   pagedir.New[*tailBlock](),
 		primary:   index.NewPrimary(),
 		secondary: make(map[int]*index.Secondary),
 		dicts:     make([]*stringDict, schema.NumCols()),
@@ -123,9 +110,6 @@ func (s *Store) Close() {
 // TxnManager exposes the shared transaction manager.
 func (s *Store) TxnManager() *txn.Manager { return s.tm }
 
-// EpochManager exposes the shared epoch manager.
-func (s *Store) EpochManager() *epoch.Manager { return s.em }
-
 // Schema returns the table schema.
 func (s *Store) Schema() types.Schema { return s.schema }
 
@@ -138,12 +122,7 @@ func (s *Store) addInsertRange() (*updateRange, error) {
 		return nil, err
 	}
 	s.rangesMu.Lock()
-	idx := len(s.ranges)
-	r, err := newUpdateRange(s, idx, first, s.cfg.RangeSize)
-	if err != nil {
-		s.rangesMu.Unlock()
-		return nil, err
-	}
+	r := newUpdateRange(s, len(s.ranges), first, s.cfg.RangeSize)
 	s.ranges = append(s.ranges, r)
 	s.rangesMu.Unlock()
 	s.curInsert.Store(r)
@@ -378,13 +357,14 @@ func (s *Store) writeVersion(t *txn.Txn, loc ridLocation, cols []int, slots []ui
 	ind := types.RID(old & types.IndirectionRIDMask)
 
 	// Step 2: the latest version must not belong to a live competing txn.
-	var curStart uint64
+	// A version compacted into history is resolved, so it never conflicts
+	// (∅ resolves as aborted). The block list is loaded before histUpto, as
+	// in readCols: a list without a compacted block comes with its boundary.
+	curStart := types.NullSlot
 	if ind == 0 {
 		curStart = r.loadBase().startSlot(slot)
-	} else if rec, ok := s.loadTailRecord(ind); ok {
-		curStart = rec.startSlot
-	} else {
-		curStart = types.NullSlot
+	} else if tails := *r.tailBlocks.Load(); uint64(ind) > r.histUpto.Load() {
+		curStart = r.tailRecord(tails, ind).startSlot
 	}
 	if curStart != t.ID {
 		if _, _, st := s.resolveSlot(curStart, nil); st == txn.StatusUncommitted || st == txn.StatusPreCommitted {
@@ -536,7 +516,10 @@ func curBaseStart(s *Store, r *updateRange, slot int, t *txn.Txn) uint64 {
 }
 
 // appendTail reserves the next tail slot for the range and writes one tail
-// record. The backward pointer is stored last: it publishes the record.
+// record. The backward pointer is stored last: it publishes the record. A
+// new block joins the block list before any of its RIDs is handed out, so
+// the list a reader loads after an indirection word covers that word's
+// whole chain.
 func (r *updateRange) appendTail(s *Store, back types.RID, enc uint64, start uint64, baseRID types.RID, vals map[int]uint64, t *txn.Txn) (types.RID, error) {
 	var b *tailBlock
 	var newRID types.RID
@@ -545,12 +528,14 @@ func (r *updateRange) appendTail(s *Store, back types.RID, enc uint64, start uin
 		r.tmu.Lock()
 		b = r.cur
 		if b == nil {
-			nb, err := s.newTailBlockFor(s.schema.NumCols(), false)
+			prev := *r.tailBlocks.Load()
+			first, err := r.span.BlockFirst(len(prev))
 			if err != nil {
 				r.tmu.Unlock()
 				return 0, err
 			}
-			blocks := append(append([]*tailBlock{}, *r.tailBlocks.Load()...), nb)
+			nb := newTailBlock(first, s.cfg.TailBlockSize, s.schema.NumCols(), false)
+			blocks := append(append([]*tailBlock{}, prev...), nb)
 			r.tailBlocks.Store(&blocks)
 			r.cur = nb
 			b = nb
@@ -616,8 +601,6 @@ func (s *Store) get(t *txn.Txn, key int64, cols []int, speculative bool) ([]type
 		view = latestView(t)
 		view.speculative = true
 	}
-	g := s.em.Pin()
-	defer g.Unpin()
 	out := make([]uint64, len(cols))
 	res := loc.rng.readCols(view, loc.slot, cols, out)
 	s.stats.PointReads.Add(1)
@@ -650,8 +633,6 @@ func (s *Store) GetAt(ts types.Timestamp, key int64, cols []int) ([]types.Value,
 	if err != nil {
 		return nil, false, err
 	}
-	g := s.em.Pin()
-	defer g.Unpin()
 	out := make([]uint64, len(cols))
 	res := loc.rng.readCols(asOfView(ts), loc.slot, cols, out)
 	if !res.exists {

@@ -18,7 +18,7 @@ import (
 // scanners iterate the still-unsealed path).
 func TestScanRowsStableUnderSealAndSweep(t *testing.T) {
 	cfg := Config{RangeSize: 256, TailBlockSize: 64, MergeBatch: 64, CumulativeUpdates: true, AutoMerge: true}
-	s, err := NewStore(testSchema(), cfg, nil, nil)
+	s, err := NewStore(testSchema(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,12 +85,6 @@ func (b *tailBlock) dataPage(col int, create bool) *page.TailPage {
 // take reserves the next tail RID in the block.
 func (b *tailBlock) take() (types.RID, int, bool) { return b.rids.Take() }
 
-// contains reports whether r belongs to this block.
-func (b *tailBlock) contains(r types.RID) bool { return b.rids.Contains(r) }
-
-// slot converts a contained RID to its slot index.
-func (b *tailBlock) slot(r types.RID) int { return b.rids.Slot(r) }
-
 // tailRecord is a decoded view of one tail record (read path).
 type tailRecord struct {
 	rid       types.RID
@@ -118,38 +112,18 @@ func (r *tailRecord) value(col int) (uint64, bool) {
 	return p.Load(r.slotIdx), true
 }
 
-// loadTailRecord reads the record header for rid through the store's tail
-// directory. ok is false for unknown RIDs (never handed out).
-func (s *Store) loadTailRecord(r types.RID) (tailRecord, bool) {
-	b, ok := s.tailDir.Get(uint64(r-types.TailRIDBase) / uint64(s.cfg.TailBlockSize))
-	if !ok || !b.contains(r) {
-		return tailRecord{}, false
-	}
-	i := b.slot(r)
-	back := b.indirection.Load(i)
-	if back == types.NullSlot {
-		// Slot reserved but record not yet fully written: the writer stores
-		// the back pointer last (publish order), so treat as absent.
-		return tailRecord{}, false
-	}
+// tailRecord reads the header of tail record rid from tails, the range's
+// block list as walkChain captured it. A RID that list does not cover is a
+// broken chain, not an absent version: the index or nil dereference panics.
+func (r *updateRange) tailRecord(tails []*tailBlock, rid types.RID) tailRecord {
+	bi, i := r.span.Locate(rid)
+	b := tails[bi]
 	return tailRecord{
-		rid:       r,
-		back:      types.RID(back),
+		rid:       rid,
+		back:      types.RID(b.indirection.Load(i)),
 		enc:       b.schemaEnc.Load(i),
 		startSlot: b.startTime.Load(i),
 		block:     b,
 		slotIdx:   i,
-	}, true
-}
-
-// newTailBlockFor reserves RID space for a new block and registers it in the
-// tail directory so loadTailRecord can address it.
-func (s *Store) newTailBlockFor(numCols int, eager bool) (*tailBlock, error) {
-	first, err := s.tailAlloc.ReserveBlock(s.cfg.TailBlockSize)
-	if err != nil {
-		return nil, err
 	}
-	b := newTailBlock(first, s.cfg.TailBlockSize, numCols, eager)
-	s.tailDir.Put(uint64(first-types.TailRIDBase)/uint64(s.cfg.TailBlockSize), b)
-	return b, nil
 }

@@ -64,7 +64,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Suppressed reports whether a suppression marker comment (for example
-// "//lockguard:ok reclaimed under epoch") sits on the same line as pos.
+// "//lockguard:ok written before publication") sits on the same line as pos.
 // Markers are expected to carry a reason after the prefix; an empty reason
 // still suppresses, but reads as an unexplained waiver in review.
 func (p *Pass) Suppressed(pos token.Pos, marker string) bool {

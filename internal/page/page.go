@@ -2,7 +2,7 @@
 //
 //   - Base pages: read-only, compressed, columnar. They are produced whole
 //     (by the merge process or by sealing an insert range), never mutated,
-//     and eventually retired through epoch-based de-allocation. Several
+//     and dropped by Go's GC once no reader holds them. Several
 //     encodings are provided (raw, frame-of-reference bit-packed,
 //     dictionary, run-length); Encode picks the smallest.
 //

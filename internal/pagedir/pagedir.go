@@ -1,8 +1,10 @@
 // Package pagedir implements L-Store's page directory (§2.1, §4.1 step 4):
-// the structure through which both base and tail pages are referenced by
-// RID-derived keys and "an index structure that is updated rarely, only when
-// new pages are allocated" — plus the pointer swap that is the merge
-// process's only foreground action.
+// "an index structure that is updated rarely, only when new pages are
+// allocated", plus the pointer swap that is the merge process's only
+// foreground action. The engine keeps one directory per table, of the
+// spill descriptors of its spilled base pages, keyed by range and page
+// slot. Reads never consult it: a range's published version holds its base
+// pages, and a chain walk finds its tail blocks in the range's own list.
 //
 // The directory is a lock-striped hash map. Point lookups take a shared
 // stripe latch; Put/Swap take an exclusive stripe latch, mirroring the
@@ -14,8 +16,8 @@ import "sync"
 
 const stripeCount = 64
 
-// Directory maps uint64 keys (range indexes, tail-block indexes) to values
-// (page sets). The zero value is not usable; call New.
+// Directory maps uint64 keys to values (spill descriptors). The zero value
+// is not usable; call New.
 type Directory[V any] struct {
 	shards [stripeCount]shard[V]
 }

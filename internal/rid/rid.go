@@ -3,20 +3,19 @@
 // Base RIDs and tail RIDs come from the same key space (§2.1: "records in
 // both base and tail pages are assigned record-identifiers from the same key
 // space") but from disjoint sub-ranges: base RIDs ascend from 1 and tail
-// RIDs ascend from types.TailRIDBase. Tail RIDs are handed out in
-// per-update-range blocks so updates for a range of records stay clustered
-// inside that range's tail pages (§3.1), while the single global counter
-// keeps RIDs monotone in allocation order — the property the TPS
-// high-watermark logic depends on (§4.2).
+// RIDs live at and above types.TailRIDBase.
 //
-// Insert ranges (§3.2) reserve an aligned pair of spans: a span of base RIDs
-// and an equally sized span of table-level tail RIDs, so the i-th base RID of
-// the range corresponds to the i-th table-level tail RID (implicit
-// addressing).
+// Each update range owns a fixed span of tail RIDs (TailSpan): its insert
+// block (§3.2) takes the first RangeSize RIDs, and its update blocks follow
+// in order, so the tail records of a range stay clustered inside that
+// range's tail pages (§3.1). RIDs are monotone in allocation order within a
+// range — all the TPS high-watermark logic needs, since TPS is per range
+// (§4.2) — and a tail RID maps to its block by arithmetic alone.
 package rid
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"lstore/internal/types"
@@ -49,34 +48,55 @@ func (a *BaseAllocator) ReserveSpan(n int) (types.RID, error) {
 // Peek returns the next RID that would be allocated (for introspection).
 func (a *BaseAllocator) Peek() types.RID { return types.RID(a.next.Load()) }
 
-// TailAllocator hands out tail RIDs in blocks from a single global counter.
-type TailAllocator struct {
-	next atomic.Uint64
+// spanShift sizes every range's tail span at RangeSize<<spanShift RIDs. Base
+// RIDs stop below 2^40, so at most 2^40/RangeSize ranges exist and their
+// spans end below TailRIDBase + 2^62, inside the Indirection word's RID bits.
+const spanShift = 22
+
+// TailSpan is the tail-RID span of one update range: the insert block at
+// its start, then update blocks of a power-of-two size. The update blocks
+// hold about 2^22 tail records per base slot of the range; BlockFirst
+// refuses the block past them. The zero TailSpan is not usable; call
+// NewTailSpan.
+type TailSpan struct {
+	insert types.RID // first RID of the insert block
+	first  types.RID // first RID of update block 0
+	shift  uint      // log2 of the update-block size
+	blocks int       // update blocks the span holds
 }
 
-// NewTailAllocator returns an allocator whose first RID is types.TailRIDBase.
-func NewTailAllocator() *TailAllocator {
-	a := &TailAllocator{}
-	a.next.Store(uint64(types.TailRIDBase))
-	return a
-}
-
-// ReserveBlock reserves n consecutive tail RIDs and returns the first.
-// Successive calls return strictly increasing spans, so any interleaving of
-// per-range block reservations preserves global RID monotonicity.
-func (a *TailAllocator) ReserveBlock(n int) (types.RID, error) {
-	if n <= 0 {
-		return types.InvalidRID, fmt.Errorf("rid: block size %d must be positive", n)
+// NewTailSpan returns the span of range idx. rangeSize and blockSize must be
+// powers of two with blockSize <= rangeSize.
+func NewTailSpan(idx, rangeSize, blockSize int) TailSpan {
+	size := uint64(rangeSize) << spanShift
+	insert := types.TailRIDBase + types.RID(uint64(idx)*size)
+	shift := uint(bits.TrailingZeros64(uint64(blockSize)))
+	return TailSpan{
+		insert: insert,
+		first:  insert + types.RID(rangeSize),
+		shift:  shift,
+		blocks: int((size - uint64(rangeSize)) >> shift),
 	}
-	first := a.next.Add(uint64(n)) - uint64(n)
-	if first+uint64(n) < first { // wrap
-		return types.InvalidRID, fmt.Errorf("rid: tail RID space exhausted")
-	}
-	return types.RID(first), nil
 }
 
-// Peek returns the next tail RID that would be allocated.
-func (a *TailAllocator) Peek() types.RID { return types.RID(a.next.Load()) }
+// InsertFirst returns the first RID of the range's insert block.
+func (sp TailSpan) InsertFirst() types.RID { return sp.insert }
+
+// BlockFirst returns the first RID of update block bi, or an error once bi is
+// past the span.
+func (sp TailSpan) BlockFirst(bi int) (types.RID, error) {
+	if bi < 0 || bi >= sp.blocks {
+		return types.InvalidRID, fmt.Errorf("rid: update block %d is past the range's tail span of %d blocks", bi, sp.blocks)
+	}
+	return sp.first + types.RID(uint64(bi)<<sp.shift), nil
+}
+
+// Locate returns the update block and the slot inside it that hold r, which
+// must be an update-block RID of this span.
+func (sp TailSpan) Locate(r types.RID) (bi, slot int) {
+	off := uint64(r - sp.first)
+	return int(off >> sp.shift), int(off & (1<<sp.shift - 1))
+}
 
 // Block is a contiguous span of RIDs with O(1) slot addressing.
 type Block struct {
@@ -108,12 +128,3 @@ func (b *Block) Used() int {
 	}
 	return int(u)
 }
-
-// Contains reports whether r falls inside the block.
-func (b *Block) Contains(r types.RID) bool {
-	return r >= b.First && r < b.First+types.RID(b.N)
-}
-
-// Slot returns the slot index of r inside the block. The caller must ensure
-// Contains(r).
-func (b *Block) Slot(r types.RID) int { return int(r - b.First) }

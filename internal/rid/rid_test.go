@@ -34,59 +34,69 @@ func TestBaseAllocatorSpans(t *testing.T) {
 	}
 }
 
-func TestTailAllocatorMonotone(t *testing.T) {
-	a := NewTailAllocator()
-	prev := types.InvalidRID
-	for i := 0; i < 1000; i++ {
-		b, err := a.ReserveBlock(7)
+// TestTailSpanBlocks checks one range's span: update blocks ascend after
+// the insert block, the last block of the highest range at the smallest
+// legal RangeSize (1) still fits the Indirection word's RID bits, and the
+// block past the span is refused.
+func TestTailSpanBlocks(t *testing.T) {
+	sp := NewTailSpan(3, 64, 16)
+	prev := sp.InsertFirst() + 63
+	for bi := 0; bi < 1000; bi++ {
+		first, err := sp.BlockFirst(bi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !b.IsTail() {
-			t.Fatalf("block %d start %v not a tail RID", i, b)
+		if first != prev+1 {
+			t.Fatalf("block %d starts at %v, want %v", bi, first, prev+1)
 		}
-		if b <= prev {
-			t.Fatalf("blocks not monotone: %v after %v", b, prev)
+		for slot := 0; slot < 16; slot++ {
+			if gb, gs := sp.Locate(first + types.RID(slot)); gb != bi || gs != slot {
+				t.Fatalf("Locate(%v) = (%d, %d), want (%d, %d)", first+types.RID(slot), gb, gs, bi, slot)
+			}
 		}
-		prev = b
+		prev = first + 15
+	}
+
+	const rangeSize, blockSize = 1, 1
+	maxIdx := int(types.TailRIDBase/rangeSize) - 1
+	top := NewTailSpan(maxIdx, rangeSize, blockSize)
+	last, err := top.BlockFirst(top.blocks - 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uint64(last)+blockSize-1 >= types.IndirectionRIDMask {
+		t.Fatalf("range %d ends at %v, past the Indirection RID mask", maxIdx, last)
+	}
+	if want := top.InsertFirst() + rangeSize<<spanShift - 1; last != want {
+		t.Fatalf("last block of range %d starts at %v, want the span's last RID %v", maxIdx, last, want)
+	}
+	if _, err := top.BlockFirst(top.blocks); err == nil {
+		t.Fatal("the block past the span was handed out")
+	}
+	if _, err := sp.BlockFirst(-1); err == nil {
+		t.Fatal("a negative block index was handed out")
 	}
 }
 
-func TestTailAllocatorConcurrentDisjoint(t *testing.T) {
-	a := NewTailAllocator()
-	const workers, perWorker, blockSize = 8, 200, 16
-	var mu sync.Mutex
-	seen := make(map[types.RID]struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			local := make([]types.RID, 0, perWorker)
-			for i := 0; i < perWorker; i++ {
-				b, err := a.ReserveBlock(blockSize)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				local = append(local, b)
+// TestTailSpansDisjoint checks that neighbouring ranges' spans never
+// overlap: each span ends exactly where the next begins.
+func TestTailSpansDisjoint(t *testing.T) {
+	for _, shape := range []struct{ rangeSize, blockSize int }{{1, 1}, {64, 16}, {4096, 512}} {
+		for idx := 0; idx < 8; idx++ {
+			sp := NewTailSpan(idx, shape.rangeSize, shape.blockSize)
+			next := NewTailSpan(idx+1, shape.rangeSize, shape.blockSize)
+			if !sp.InsertFirst().IsTail() {
+				t.Fatalf("range %d's span starts at base RID %v", idx, sp.InsertFirst())
 			}
-			mu.Lock()
-			defer mu.Unlock()
-			for _, b := range local {
-				for k := 0; k < blockSize; k++ {
-					r := b + types.RID(k)
-					if _, dup := seen[r]; dup {
-						t.Errorf("duplicate RID %v", r)
-					}
-					seen[r] = struct{}{}
-				}
+			last, err := sp.BlockFirst(sp.blocks - 1)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-	}
-	wg.Wait()
-	if len(seen) != workers*perWorker*blockSize {
-		t.Fatalf("allocated %d unique RIDs, want %d", len(seen), workers*perWorker*blockSize)
+			if end := last + types.RID(shape.blockSize); end != next.InsertFirst() {
+				t.Fatalf("shape %+v: range %d ends at %v, range %d starts at %v",
+					shape, idx, end, idx+1, next.InsertFirst())
+			}
+		}
 	}
 }
 
@@ -103,18 +113,12 @@ func TestBlockTake(t *testing.T) {
 		if r != b.First+types.RID(i) {
 			t.Errorf("rid = %v", r)
 		}
-		if !b.Contains(r) || b.Slot(r) != i {
-			t.Errorf("Contains/Slot wrong for %v", r)
-		}
 	}
 	if _, _, ok := b.Take(); ok {
 		t.Errorf("Take succeeded past capacity")
 	}
 	if b.Used() != 4 {
 		t.Errorf("Used = %d, want 4", b.Used())
-	}
-	if b.Contains(b.First + 4) {
-		t.Errorf("Contains accepts out-of-range RID")
 	}
 }
 

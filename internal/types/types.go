@@ -25,9 +25,11 @@ const (
 	InvalidRID RID = 0
 
 	// TailRIDBase is the first tail RID. Base RIDs live in [1, TailRIDBase);
-	// tail RIDs ascend from TailRIDBase. The paper allocates tail RIDs
-	// descending from 2^64; ascending allocation preserves the monotonicity
-	// TPS relies on while keeping comparisons natural (see DESIGN.md).
+	// tail RIDs live above it, in one fixed span per update range
+	// (rid.TailSpan), ascending in allocation order within the span. The
+	// paper allocates tail RIDs descending from 2^64; ascending allocation
+	// keeps each range's RIDs monotone, which is all the per-range TPS
+	// needs, while keeping comparisons natural.
 	TailRIDBase RID = 1 << 40
 )
 
